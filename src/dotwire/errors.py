@@ -2,9 +2,12 @@
 
 Every failure the library can diagnose raises a subclass of
 :class:`DotwireError`, so callers can catch one type. The CLI maps
-:class:`ConfigError` to exit code 1 and every other subclass (numerical
-failures) to exit code 3; contract violations detected by commands themselves
-exit with code 2.
+:class:`ConfigError` to exit code 1; contract violations (a singular
+parameter point, no peak or minimum in the bracket, a tangent pole, an empty
+projection, a too-wide pulse bandwidth, a population underflow) and
+verification failures detected by commands themselves to exit code 2; and
+numerical failures (a too-coarse grid, a too-large step, no convergence) to
+exit code 3.
 """
 
 from __future__ import annotations

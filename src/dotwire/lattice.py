@@ -138,20 +138,6 @@ class LatticeSystem:
     def size(self) -> int:
         return 2 * self.grid.n_modes + 2
 
-    def rhs(self, psi: np.ndarray) -> np.ndarray:
-        """d psi / dt = -i H psi, without materializing H."""
-        n2 = 2 * self.grid.n_modes
-        modes, dots = psi[:n2], psi[n2:]
-        out = np.empty_like(psi)
-        out[:n2] = -1j * (
-            np.concatenate([self.eps, self.eps]) * modes
-            + self.coupling @ dots
-        )
-        out[n2:] = -1j * (
-            self.dot_block @ dots + self.coupling.conj().T @ modes
-        )
-        return out
-
     def to_dense(self) -> np.ndarray:
         """Materialize H (for structure and propagator tests)."""
         n2 = 2 * self.grid.n_modes
@@ -480,9 +466,11 @@ def no_jump_equivalence(
     non-Hermitian evolution with the collective rates.
 
     Starting from the single-emitter excitation (symmetric + antisymmetric)
-    / sqrt(2), route (i) integrates d rho/dt = -(1/2) sum_pm gamma_pm
-    {P_pm, rho} with RK4; route (ii) is the closed form psi_pm(t) =
-    e^{-gamma_pm t / 2} / sqrt(2). Returns the largest trace distance seen.
+    / sqrt(2), route (i) propagates the vectorised density matrix under
+    d rho/dt = -(1/2) sum_pm gamma_pm {P_pm, rho} with the exact step
+    expm(L*dt) of the 4x4 Liouvillian L; route (ii) is the closed form
+    psi_pm(t) = e^{-gamma_pm t / 2} / sqrt(2). Returns the largest trace
+    distance seen at the samples taken every 200 steps.
     """
     g_plus, g_minus = gamma_pm(k0d, gamma0)
     if dt * max(g_plus, g_minus, 1e-12) > _STEP_LIMIT:
@@ -490,30 +478,24 @@ def no_jump_equivalence(
             f"dt={dt} resolves the fastest decay rate worse than "
             f"{_STEP_LIMIT} per step"
         )
-    p_plus = np.diag([1.0, 0.0])
-    p_minus = np.diag([0.0, 1.0])
+    # anticommutator {A, rho} on the row-major vec(rho) is A(x)1 + 1(x)A^T
+    eye = np.eye(2)
+    decay = np.diag([g_plus, g_minus])
+    liouvillian = -0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
+    step = expm(liouvillian * dt)
     psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho = np.outer(psi0, psi0.conj())
-
-    def drho(r: np.ndarray) -> np.ndarray:
-        return -0.5 * g_plus * (p_plus @ r + r @ p_plus) - 0.5 * g_minus * (
-            p_minus @ r + r @ p_minus
-        )
+    rho = np.outer(psi0, psi0.conj()).reshape(4)
 
     n_steps = int(t_max / dt)
     worst = 0.0
     for i in range(n_steps):
-        k1 = drho(rho)
-        k2 = drho(rho + 0.5 * dt * k1)
-        k3 = drho(rho + 0.5 * dt * k2)
-        k4 = drho(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = step.dot(rho)
         if (i + 1) % 200 == 0 or i == n_steps - 1:
             t = (i + 1) * dt
             psi = psi0 * np.exp(
                 -0.5 * np.array([g_plus, g_minus]) * t
             )
-            diff = rho - np.outer(psi, psi.conj())
+            diff = rho.reshape(2, 2) - np.outer(psi, psi.conj())
             trace_distance = 0.5 * float(
                 np.sum(np.abs(np.linalg.eigvalsh(diff)))
             )

@@ -67,19 +67,6 @@ class TestBuildHamiltonian:
         with pytest.raises(GridTooCoarse):
             build_hamiltonian(grid, ModelParams(kd=PI / 2))
 
-    def test_dense_matches_matrix_free(self):
-        grid = uniform_mode_grid(3.0, 0.1)
-        system = build_hamiltonian(
-            grid,
-            ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
-                        k0d=0.8, include_superradiance=True),
-            line_check=False,
-        )
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
-        dense = system.to_dense()
-        assert np.allclose(system.rhs(psi), -1j * (dense @ psi), atol=1e-13)
-
     def test_hermitian_without_loss_or_collective_term(self):
         grid = uniform_mode_grid(3.0, 0.1)
         dense = build_hamiltonian(
