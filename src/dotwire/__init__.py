@@ -57,7 +57,6 @@ from .model import (
     V_G,
     ModelParams,
     ScatteringSolution,
-    probabilities,
     relation_residual,
     solve_single_dot,
     solve_two_dot,
@@ -99,7 +98,6 @@ __all__ = [
     "solve_single_dot",
     "superradiant_rate",
     "relation_residual",
-    "probabilities",
     # spectra
     "SpectrumRow",
     "PeakRecord",

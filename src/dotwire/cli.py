@@ -10,17 +10,17 @@ Six subcommands map onto the library surface:
     storage          metastable storage efficiency vs pulse ratio
 
 Global flags (before the subcommand): --config INI, --out DIR,
---format csv|json, --threads N. Exit codes: 0 success, 1 configuration or
-usage error, 2 contract violation (singular point, bandwidth too wide,
-verification over tolerance, ...), 3 numerical failure (grid too coarse,
-step too large, probe setup infeasible).
+--format csv|json. Exit codes: 0 success, 1 configuration or usage error,
+2 contract violation (singular point, bandwidth too wide, verification over
+tolerance, ...), 3 numerical failure (grid too coarse, step too large, probe
+setup infeasible).
 
 Without --out, tables print to stdout (multiple tables are separated by
 "# <name>" comment lines). With --out DIR, each table becomes a file in
 DIR and "manifest.json" is written last as the completion marker: it
 echoes the effective parameters and lists every data file with a sha256
-checksum. Data files are byte-identical across reruns and thread counts;
-only the manifest carries timing.
+checksum. Data files are byte-identical across reruns; only the manifest
+carries timing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import logging
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,9 +178,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("csv", "json"),
                         help="output format (default csv; oracle-verify "
                         "defaults to json)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent heavy runs "
-                        "(oracle-verify, storage)")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("spectrum", help="T/R/loss detuning sweeps")
@@ -263,31 +259,20 @@ def _resolve(command: str, args: argparse.Namespace,
     return effective
 
 
-def _map_tasks(fn, tasks, threads: int) -> list:
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 def _num(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _cmd_spectrum(p: dict, threads: int) -> CommandResult:
+def _cmd_spectrum(p: dict) -> CommandResult:
     grid = (p["delta_min"], p["delta_max"], p["n_points"])
 
     def single_table() -> Table:
-        rows = [
-            [delta] + list(_single_row(p["gamma_prime"], delta))
-            for delta in np.linspace(*grid)
-        ]
+        rows = []
+        for delta in np.linspace(*grid):
+            sol = solve_single_dot(p["gamma_prime"], delta)
+            rows.append([delta, sol.T, sol.R, sol.Loss])
         return Table(f"spectrum_single_gp{_num(p['gamma_prime'])}",
                      ["delta", "T", "R", "Loss"], rows)
-
-    def _single_row(gp: float, delta: float) -> tuple[float, float, float]:
-        sol = solve_single_dot(gp, delta)
-        return sol.T, sol.R, sol.Loss
 
     if p["single_dot"]:
         return CommandResult(tables=[single_table()])
@@ -308,7 +293,7 @@ def _cmd_spectrum(p: dict, threads: int) -> CommandResult:
     return CommandResult(tables=tables)
 
 
-def _cmd_peaks(p: dict, threads: int) -> CommandResult:
+def _cmd_peaks(p: dict) -> CommandResult:
     kd_values = np.linspace(p["kd_min"], p["kd_max"], p["n_kd"])
     base = ModelParams(kd=1.0, gamma0=p["gamma0"], gamma_nr=p["gamma_nr"])
     without, with_sr = peak_position_curve(
@@ -321,7 +306,7 @@ def _cmd_peaks(p: dict, threads: int) -> CommandResult:
     ])
 
 
-def _cmd_concurrence_map(p: dict, threads: int) -> CommandResult:
+def _cmd_concurrence_map(p: dict) -> CommandResult:
     cells = concurrence_map(
         np.linspace(p["kd_min"], p["kd_max"], p["n_kd"]),
         np.linspace(p["delta_min"], p["delta_max"], p["n_delta"]),
@@ -333,7 +318,7 @@ def _cmd_concurrence_map(p: dict, threads: int) -> CommandResult:
     ])
 
 
-def _cmd_phase(p: dict, threads: int) -> CommandResult:
+def _cmd_phase(p: dict) -> CommandResult:
     deltas = np.linspace(p["delta_min"], p["delta_max"], p["n_points"])
     rows: list[list] = []
     for gp in p["gamma_prime"]:
@@ -366,7 +351,7 @@ def _oracle_points(mode: str) -> list[tuple[float, float, float, bool]]:
     ]
 
 
-def _cmd_oracle_verify(p: dict, threads: int) -> CommandResult:
+def _cmd_oracle_verify(p: dict) -> CommandResult:
     packet = WavepacketSpec(sigma_k=p["sigma_k"])
     tolerance = p["tolerance"]
 
@@ -402,7 +387,7 @@ def _cmd_oracle_verify(p: dict, threads: int) -> CommandResult:
         )
         return entry
 
-    points = _map_tasks(check, _oracle_points(p["mode"]), threads)
+    points = [check(point) for point in _oracle_points(p["mode"])]
     finite = [max(pt["t_error"], pt["r_error"]) for pt in points
               if not math.isnan(pt["t_error"])]
     max_error = max(finite) if finite else math.nan
@@ -438,7 +423,7 @@ def _cmd_oracle_verify(p: dict, threads: int) -> CommandResult:
     )
 
 
-def _cmd_storage(p: dict, threads: int) -> CommandResult:
+def _cmd_storage(p: dict) -> CommandResult:
     def run(ratio: float) -> list:
         result = simulate_storage(
             StorageParams(pulse_ratio=ratio, parity=p["parity"],
@@ -446,7 +431,7 @@ def _cmd_storage(p: dict, threads: int) -> CommandResult:
         )
         return [ratio, result.efficiency, 1.0 - 1.0 / ratio]
 
-    rows = _map_tasks(run, list(p["pulse_ratio"]), threads)
+    rows = [run(ratio) for ratio in p["pulse_ratio"]]
     return CommandResult(tables=[
         Table("storage", ["P", "efficiency", "bound"], rows)
     ])
@@ -576,8 +561,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("a subcommand is required (see --help)")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config) if args.config else {}
         effective = _resolve(args.command, args, config)
     except ConfigError as exc:
@@ -590,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     root.addHandler(collector)
     started = time.perf_counter()
     try:
-        result = _COMMANDS[args.command](effective, args.threads)
+        result = _COMMANDS[args.command](effective)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

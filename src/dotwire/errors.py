@@ -67,8 +67,11 @@ class GridTooCoarse(DotwireError):
 class StepTooLarge(DotwireError):
     """The integrator step is too long for the fastest coupled dynamics.
 
-    For the lattice stepper that is the mode-emitter coupling block, whose
-    rate bounds the splitting error; the mode phases are exact.
+    Both lattice engines share one check: a step may turn the kick block
+    (mode-emitter coupling in the oracle, emitter-control in the storage
+    run) by at most 0.25 rad, since that rate bounds the splitting error;
+    the mode phases are exact. The storage step is fixed by the control
+    grid, so there it means the control is too strong.
     """
 
 

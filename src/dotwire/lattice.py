@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.blas import zgemv
+from scipy.linalg.blas import zaxpy
 
 from .errors import GridTooCoarse, NotConverged, StepTooLarge
 from .model import GAMMA_PL, ModelParams, superradiant_rate
@@ -278,6 +278,61 @@ def build_hamiltonian(
     )
 
 
+def _check_step(dt: float, generators: np.ndarray, what: str) -> None:
+    """StepTooLarge when dt * max ||G||_2 over the stack of kick generators
+    exceeds _COUPLING_STEP_LIMIT; what ends the message with the remedy."""
+    rate = float(np.max(np.linalg.norm(generators, 2, axis=(-2, -1))))
+    if dt * rate > _COUPLING_STEP_LIMIT:
+        raise StepTooLarge(
+            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
+            f"rad/step (limit {_COUPLING_STEP_LIMIT}); {what}"
+        )
+
+
+def _split(
+    modes: np.ndarray,
+    amps: np.ndarray,
+    q: np.ndarray,
+    steps,
+    phase_first: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-phase splitting shared by the oracle and the storage lattice.
+
+    The modes are first multiplied by phase_first; then each (kick, phase)
+    pair from steps applies the kick to the coefficients of the modes on the
+    k orthonormal columns of q followed by the amplitudes, and multiplies
+    the modes by phase. A kick is expm(-i*h*G) minus the identity on the k
+    span rows, so those rows give the change of the span coefficients,
+    which is added back one column of q at a time (one zaxpy per column is
+    cheaper than a matrix-vector product with so few columns).
+    NotConverged if the norm of modes and amplitudes grows by more than
+    1e-9 relative, which neither lattice can do.
+    """
+    norm0 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
+    cols_adj = np.ascontiguousarray(q.T.conj(), dtype=complex)
+    cols = list(cols_adj.conj())
+    k = len(cols)
+    # coefficients of the modes on the columns of q, then the amplitudes
+    block = np.empty(k + amps.size, dtype=complex)
+    block[k:] = amps
+    modes = modes * phase_first
+    for kick, phase in steps:
+        block[:k] = cols_adj.dot(modes)
+        change = kick.dot(block)
+        for col, c in zip(cols, change):
+            modes = zaxpy(col, modes, a=c)
+        block[k:] = change[k:]
+        modes *= phase
+    amps = block[k:]
+    norm1 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
+    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
+        raise NotConverged(
+            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
+            f"gains norm, which a lossless or lossy lattice cannot"
+        )
+    return modes, amps
+
+
 def evolve(
     system: LatticeSystem,
     psi: np.ndarray,
@@ -291,8 +346,9 @@ def evolve(
     first is a phase exp(-i*eps*h) per mode; with coupling = Q R the second
     acts only on span(Q) and the emitters, where it is the 4x4 generator
     G = [[0, R], [R^H, dot_block]], exponentiated once per call, so a kick
-    costs two (2n x 2) products. Yoshida's triple jump composes the Strang
-    steps phase(h/2) kick(h) phase(h/2) into a symmetric fourth-order step.
+    costs a (2 x 2n) projection and two column updates. Yoshida's triple
+    jump composes the Strang steps phase(h/2) kick(h) phase(h/2) into a
+    symmetric fourth-order step; _split runs the kicks and phases.
     Without loss every piece is unitary and the norm holds to rounding; with
     loss the negative middle kick can lift a step's norm by at most the
     splitting error, O(gamma_prime * dt**5), which the loss outweighs.
@@ -301,6 +357,7 @@ def evolve(
     the coupling block: StepTooLarge when dt * ||G||_2 exceeds 0.25 rad,
     where the splitting error approaches the oracle's 1e-3 tolerance.
     NotConverged if the norm grows, which the dynamics here cannot do.
+    With n_steps < 1 the state comes back unchanged.
     """
     n2 = 2 * system.grid.n_modes
     q, r = np.linalg.qr(system.coupling)
@@ -308,56 +365,27 @@ def evolve(
     gen[:2, 2:] = r
     gen[2:, :2] = r.conj().T
     gen[2:, 2:] = system.dot_block
-    rate = float(np.linalg.norm(gen, 2))
-    if dt * rate > _COUPLING_STEP_LIMIT:
-        raise StepTooLarge(
-            f"dt={dt:.3e} turns the mode-emitter coupling block by "
-            f"{dt * rate:.3f} rad/step (limit {_COUPLING_STEP_LIMIT}); "
-            f"reduce dt"
-        )
-    norm0 = float(np.sum(np.abs(psi) ** 2))
+    _check_step(dt, gen, "reduce dt")
+    if n_steps < 1:
+        return np.array(psi, dtype=complex)
 
-    q = np.asfortranarray(q)
-    q_adj = q.conj().T.copy()
-    # kick propagators minus the identity on the span(Q) rows, so that a kick
-    # adds Q @ (change of the span(Q) coefficients) to the modes
+    # kick propagators minus the identity on the span(Q) rows
     span = np.diag([1.0, 1.0, 0.0, 0.0])
-    kick_outer = expm(-1j * _W1 * dt * gen) - span
-    kick_inner = expm(-1j * _W0 * dt * gen) - span
+    outer = expm(-1j * _W1 * dt * gen) - span
+    inner = expm(-1j * _W0 * dt * gen) - span
     eps2 = np.concatenate([system.eps, system.eps])
-    phase_half = np.exp(-0.5j * _W1 * dt * eps2)
-    phase_mid = np.exp(-0.5j * (_W1 + _W0) * dt * eps2)
-    phase_full = phase_half * phase_half
+    half = np.exp(-0.5j * _W1 * dt * eps2)
+    mid = np.exp(-0.5j * (_W1 + _W0) * dt * eps2)
+    full = half * half
 
-    modes = np.array(psi[:n2], dtype=complex)
-    # coefficients of the modes on span(Q), then the two emitter amplitudes
-    block = np.zeros(4, dtype=complex)
-    block[2:] = psi[n2:]
+    def steps():
+        for i in range(n_steps):
+            yield outer, mid
+            yield inner, mid
+            yield outer, full if i < n_steps - 1 else half
 
-    def kick(prop: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        block[:2] = q_adj.dot(modes)
-        change = prop.dot(block)
-        block[2:] = change[2:]
-        return zgemv(1.0, q, change[:2], 1.0, modes, overwrite_y=1)
-
-    if n_steps > 0:
-        modes *= phase_half
-    for i in range(n_steps):
-        modes = kick(kick_outer, modes)
-        modes *= phase_mid
-        modes = kick(kick_inner, modes)
-        modes *= phase_mid
-        modes = kick(kick_outer, modes)
-        modes *= phase_full if i < n_steps - 1 else phase_half
-    psi = np.concatenate([modes, block[2:]])
-
-    norm1 = float(np.sum(np.abs(psi) ** 2))
-    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
-        raise NotConverged(
-            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
-            f"gains norm, which a lossless or lossy lattice cannot"
-        )
-    return psi
+    modes, amps = _split(psi[:n2], psi[n2:], q, steps(), half)
+    return np.concatenate([modes, amps])
 
 
 def _make_packet(

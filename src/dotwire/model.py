@@ -30,7 +30,6 @@ __all__ = [
     "superradiant_rate",
     "solve_two_dot",
     "solve_single_dot",
-    "probabilities",
     "relation_residual",
 ]
 
@@ -247,7 +246,3 @@ def solve_single_dot(gamma_prime: float, delta: float) -> ScatteringSolution:
     return ScatteringSolution(t=t, r=r, a=t, b=0.0j, xi1=xi, xi2=0.0j,
                               residual=eq_residual)
 
-
-def probabilities(sol: ScatteringSolution) -> tuple[float, float, float]:
-    """(T, R, Loss) of a solution."""
-    return sol.T, sol.R, sol.Loss

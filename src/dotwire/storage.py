@@ -34,15 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.blas import zaxpy
 
-from .errors import (
-    BandwidthTooWide,
-    NotConverged,
-    PopulationUnderflow,
-    StepTooLarge,
-)
-from .lattice import _COUPLING_STEP_LIMIT, uniform_mode_grid
+from .errors import BandwidthTooWide, PopulationUnderflow
+from .lattice import _check_step, _split, uniform_mode_grid
 from .model import GAMMA_PL
 
 __all__ = [
@@ -116,14 +110,16 @@ class MatchedPulse:
 class StorageRun:
     """Outcome of one storage simulation.
 
-    field is the symmetric branch combination (psi_right + psi_left)/sqrt(2)
-    at the end of the run, and output_norm its norm, which is the norm left
-    in both branches; f_in holds the input modes of one branch.
+    bright_e and bright_m are the final bright excited and symmetric
+    metastable amplitudes (efficiency is |bright_m|^2). field is the
+    symmetric branch combination (psi_right + psi_left)/sqrt(2) at the end
+    of the run, and output_norm its norm, which is the norm left in both
+    branches; f_in holds the input modes of one branch.
     """
 
     t: np.ndarray
-    bright_e: np.ndarray
-    bright_m: np.ndarray
+    bright_e: complex
+    bright_m: complex
     efficiency: float
     output_norm: float
     field: np.ndarray
@@ -242,30 +238,35 @@ def _run_lattice(
     sqrt(2)*psi (coupled to the bright state through g = 2*kap), the bright
     excited amplitude and the symmetric metastable amplitude. The parity
     sign drops out. A step is the mode phase exp(-i*nu*dt/2), an exact kick
-    and the second half phase. The kick acts on span(g/|g|) and the two
-    amplitudes, where it is the 3x3 generator
+    and the second half phase, run by lattice._split. The kick acts on
+    span(g/|g|) and the two amplitudes, where it is the 3x3 generator
     G = [[0, |g|, 0], [|g|, -i*gp/2, om], [0, conj(om), 0]] with om the
     midpoint average of omega over the interval; its expm is formed in
     blocks of steps. omega is sampled only on the grid, so the control is
     second-order accurate, and so is the step.
 
-    StepTooLarge when dt * max ||G||_2 exceeds 0.25 rad, NotConverged if
-    the norm grows, which the lossy dynamics here cannot do.
+    ValueError unless omega is finite and sampled on t_grid. StepTooLarge
+    when dt * max ||G||_2 exceeds 0.25 rad (the control is too strong for
+    its sampling step), NotConverged if the norm grows, which the lossy
+    dynamics here cannot do.
     """
+    omega = np.asarray(omega)
+    if omega.shape != t_grid.shape:
+        raise ValueError(
+            f"omega must be sampled on the storage time grid "
+            f"({t_grid.size} points), got shape {omega.shape}"
+        )
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega must be finite at every sample")
     grid = uniform_mode_grid(params.half_width, params.dk)
     nu, w = grid.nu, grid.weights
     # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
     g = 2.0 * np.sqrt(0.5 * GAMMA_PL * w / (4.0 * math.pi))
     g_norm = float(np.linalg.norm(g))
-    q = (g / g_norm).astype(complex)
     gp = params.gamma_prime
 
     if f_in is None:
         f_in = np.zeros(nu.size, dtype=complex)
-    field = math.sqrt(2.0) * f_in.astype(complex)
-    # [bright excited, symmetric metastable]
-    amps = np.array([0.0, metastable0], dtype=complex)
-
     dt = float(t_grid[1] - t_grid[0])
     n_steps = t_grid.size - 1
     om_mid = 0.5 * (omega[:-1] + omega[1:])
@@ -281,47 +282,31 @@ def _run_lattice(
     # ||G||_2 depends on om only through |om| and is convex in it, so its
     # largest value over the run sits at the smallest or largest |om|
     mag = np.abs(om_mid)
-    ends = generators(np.array([mag.min(), mag.max()]))
-    rate = float(np.max(np.linalg.norm(ends, 2, axis=(1, 2))))
-    if dt * rate > _COUPLING_STEP_LIMIT:
-        raise StepTooLarge(
-            f"dt={dt:.3e} turns the emitter-control block by "
-            f"{dt * rate:.3f} rad/step (limit {_COUPLING_STEP_LIMIT}); "
-            f"the control is too strong for its sampling step"
-        )
-    norm0 = float(np.sum(np.abs(field) ** 2) + np.sum(np.abs(amps) ** 2))
+    _check_step(dt, generators(np.array([mag.min(), mag.max()])),
+                "the control is too strong for its sampling step")
 
-    phase_half = np.exp(-0.5j * dt * nu)
-    phase_full = phase_half * phase_half
-    bright_e = np.zeros(t_grid.size, dtype=complex)
-    bright_m = np.zeros(t_grid.size, dtype=complex)
-    bright_m[0] = metastable0
-    block = np.zeros(3, dtype=complex)
+    half = np.exp(-0.5j * dt * nu)
+    full = half * half
+    # kick propagators minus the identity on the span row
+    span = np.diag([1.0, 0.0, 0.0])
 
-    field *= phase_half
-    for first in range(0, n_steps, _KICK_BLOCK):
-        kicks = expm(-1j * dt * generators(om_mid[first:first + _KICK_BLOCK]))
-        for j, kick in enumerate(kicks):
-            i = first + j
-            block[0] = q.dot(field)
-            block[1:] = amps
-            new = kick.dot(block)
-            field = zaxpy(q, field, a=new[0] - block[0])
-            amps = new[1:]
-            bright_e[i + 1], bright_m[i + 1] = amps
-            field *= phase_full if i < n_steps - 1 else phase_half
+    def steps():
+        for first in range(0, n_steps, _KICK_BLOCK):
+            om = om_mid[first:first + _KICK_BLOCK]
+            kicks = expm(-1j * dt * generators(om)) - span
+            for i, kick in enumerate(kicks, first + 1):
+                yield kick, full if i < n_steps else half
 
-    norm1 = float(np.sum(np.abs(field) ** 2) + np.sum(np.abs(amps) ** 2))
-    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
-        raise NotConverged(
-            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
-            f"gains norm, which the lossy storage lattice cannot"
-        )
+    # [bright excited, symmetric metastable]
+    amps = np.array([0.0, metastable0], dtype=complex)
+    field, amps = _split(math.sqrt(2.0) * f_in, amps, (g / g_norm)[:, None],
+                         steps(), half)
+    bright_e, bright_m = complex(amps[0]), complex(amps[1])
     return StorageRun(
         t=t_grid,
         bright_e=bright_e,
         bright_m=bright_m,
-        efficiency=float(abs(amps[1]) ** 2),
+        efficiency=abs(bright_m) ** 2,
         output_norm=float(np.sum(np.abs(field) ** 2)),
         field=field,
         nu=nu,
@@ -334,18 +319,14 @@ def simulate_storage(
     omega: np.ndarray | None = None,
 ) -> StorageRun:
     """Run the storage protocol; with omega=None the impedance-matched
-    control for the default Gaussian envelope is designed first."""
+    control for the default Gaussian envelope is designed first. A given
+    omega must be finite and sampled on storage_time_grid (ValueError)."""
     t_grid = storage_time_grid(params)
     if omega is None:
         envelope = gaussian_input(t_grid, params.sigma_t)
         omega = impedance_matched_pulse(
             params.pulse_ratio, t_grid, envelope
         ).omega
-    elif omega.shape != t_grid.shape:
-        raise ValueError(
-            f"omega must be sampled on the storage time grid "
-            f"({t_grid.size} points), got {omega.shape}"
-        )
     grid = uniform_mode_grid(params.half_width, params.dk)
     f_in = _input_modes(params, grid.nu, grid.weights)
     return _run_lattice(params, t_grid, omega, f_in, metastable0=0.0)
@@ -380,7 +361,8 @@ def retrieve(
 
     Returns the emitted field norm (bounded by stored_amplitude^2 times the
     retrieval efficiency) and its overlap with the time-reversed input
-    envelope profile.
+    envelope profile. A given omega must be finite and sampled on
+    storage_time_grid (ValueError).
     """
     t_grid = storage_time_grid(params)
     if omega is None:

@@ -47,11 +47,6 @@ class TestUsageErrors:
         assert code == 1
         assert "invalid choice" in err
 
-    def test_threads_must_be_positive(self, capsys):
-        code, _, err = run_main(capsys, "--threads", "0", *TINY)
-        assert code == 1
-        assert "--threads" in err
-
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_main(
             capsys, "--config", str(tmp_path / "nope.ini"), *TINY
@@ -270,12 +265,6 @@ class TestOutDirAndManifest:
         assert {p.name for p in second.iterdir()} == names
         for name in names - {"manifest.json"}:
             assert (first / name).read_bytes() == (second / name).read_bytes()
-
-    def test_threaded_error_path(self, capsys):
-        args = ["oracle-verify", "--quick", "--sigma-k", "0.0005"]
-        # The probe cannot fit this grid, so setup fails fast on every
-        # worker; byte-level agreement under threads is covered above.
-        assert run_main(capsys, "--threads", "4", *args)[0] == 3
 
     def test_nothing_written_on_compute_error(self, capsys, tmp_path):
         out = tmp_path / "run"

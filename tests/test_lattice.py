@@ -100,6 +100,16 @@ class TestEvolve:
             evolve(system, psi, dt=0.5, n_steps=10)
         evolve(system, psi, dt=0.1, n_steps=10)
 
+    def test_zero_steps_return_the_state_unchanged(self):
+        grid = uniform_mode_grid(3.0, 0.1)
+        system = build_hamiltonian(
+            grid, ModelParams(kd=0.8, delta=0.2), line_check=False
+        )
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
+        # no leading half phase may reach the modes without a step
+        assert np.array_equal(evolve(system, psi, 0.02, 0), psi)
+
     def test_lossless_evolution_conserves_norm(self):
         grid = uniform_mode_grid(3.0, 0.05)
         system = build_hamiltonian(

@@ -12,7 +12,6 @@ from dotwire.errors import SingularSystem
 from dotwire.model import (
     GAMMA_PL,
     ModelParams,
-    probabilities,
     solve_single_dot,
     solve_two_dot,
     superradiant_rate,
@@ -184,18 +183,16 @@ class TestSingleDot:
 class TestProbabilities:
     def test_perfect_transmission(self):
         sol = solve_single_dot(0.0, 1e9)
-        T, R, Loss = probabilities(sol)
-        assert (T, R) == (sol.T, sol.R)
-        assert T == pytest.approx(1.0, abs=1e-12)
+        assert sol.T == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_reflection(self):
-        T, R, Loss = probabilities(solve_single_dot(0.0, 0.0))
-        assert R == pytest.approx(1.0, abs=1e-14)
-        assert Loss == pytest.approx(0.0, abs=1e-14)
+        sol = solve_single_dot(0.0, 0.0)
+        assert sol.R == pytest.approx(1.0, abs=1e-14)
+        assert sol.Loss == pytest.approx(0.0, abs=1e-14)
 
     def test_lossless_two_dot_loss_zero(self):
         sol = solve_two_dot(ModelParams(kd=math.pi / 4, delta=0.3))
-        assert probabilities(sol)[2] == pytest.approx(0.0, abs=1e-10)
+        assert sol.Loss == pytest.approx(0.0, abs=1e-10)
 
 
 def test_scale_invariance_of_unit_frame():

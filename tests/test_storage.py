@@ -107,6 +107,23 @@ class TestStorageEfficiency:
                 StorageParams(pulse_ratio=10.0), omega=np.zeros(7)
             )
 
+    @pytest.mark.parametrize("entry, bad", [
+        ("simulate", "nan"), ("retrieve", "nan"), ("retrieve", "shape"),
+    ])
+    def test_bad_omega_rejected(self, entry, bad):
+        p = StorageParams(pulse_ratio=10.0)
+        omega = np.zeros_like(storage_time_grid(p))
+        if bad == "nan":
+            omega[100] = np.nan
+        else:
+            omega = omega[:7]
+        with pytest.raises(ValueError, match="finite" if bad == "nan"
+                           else "time grid"):
+            if entry == "simulate":
+                simulate_storage(p, omega=omega)
+            else:
+                retrieve(p, 0.9, omega=omega)
+
     def test_without_control_nothing_is_stored(self):
         p = StorageParams(pulse_ratio=10.0)
         t = storage_time_grid(p)
@@ -123,7 +140,8 @@ class TestStorageEfficiency:
     def test_strong_control_rejected(self):
         p = StorageParams(pulse_ratio=10.0)
         t = storage_time_grid(p)
-        with pytest.raises(StepTooLarge):
+        # users cannot set the storage step, so the message blames the control
+        with pytest.raises(StepTooLarge, match="control is too strong"):
             simulate_storage(p, omega=np.full(t.shape, 100.0))
 
     def test_norm_growth_raises(self, monkeypatch):
@@ -175,9 +193,9 @@ class TestReducedLattice:
         # within the second-order splitting error (measured 4.8e-6)
         field = (x[:n] + x[n:2 * n]) / math.sqrt(2.0)
         assert np.max(np.abs(run.field - field)) < 2e-5
-        assert abs(run.bright_e[-1] - (x[-4] + s * x[-3]) / math.sqrt(2.0)) \
-            < 2e-5
-        assert abs(run.bright_m[-1] - (x[-2] + x[-1]) / math.sqrt(2.0)) < 2e-5
+        assert abs(run.bright_e - (x[-4] + s * x[-3]) / math.sqrt(2.0)) < 2e-5
+        assert abs(run.bright_m - (x[-2] + x[-1]) / math.sqrt(2.0)) < 2e-5
+        assert run.efficiency == abs(run.bright_m) ** 2
 
 
 class TestPopulationIdentity:
