@@ -19,8 +19,9 @@ Without --out, tables print to stdout (multiple tables are separated by
 "# <name>" comment lines). With --out DIR, each table becomes a file in
 DIR and "manifest.json" is written last as the completion marker: it
 echoes the effective parameters and lists every data file with a sha256
-checksum. Data files are byte-identical across reruns; only the manifest
-carries timing.
+checksum. An old manifest is removed before the first file is written, and
+each file is written under a temporary name and renamed into place. Data
+files are byte-identical across reruns; only the manifest carries timing.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -525,11 +527,13 @@ def _write_outputs(
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     manifest_path = directory / "manifest.json"
+    # an old manifest would describe files this run is about to replace
+    manifest_path.unlink(missing_ok=True)
     try:
         entries = []
         for name, text in files:
             path = directory / name
-            path.write_text(text, encoding="utf-8")
+            _write_file(path, text)
             written.append(path)
             payload = text.encode("utf-8")
             entries.append({
@@ -546,13 +550,22 @@ def _write_outputs(
             "wall_time_s": round(wall_time, 3),
             "warnings": warnings,
         }
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
     except BaseException:
         for path in (manifest_path, *written):
             path.unlink(missing_ok=True)
         raise
+
+
+def _write_file(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into
+    place, so path never holds a partial file."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import SingularSystem
 
 __all__ = [
@@ -62,6 +64,10 @@ class ModelParams:
     include_superradiance: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("kd", "delta", "gamma0", "gamma_nr", "k0d"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
         if self.gamma_nr < 0:
@@ -149,23 +155,64 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
 
     Raises SingularSystem when |det| = |(w-Delta)(w+Delta)| < 1e-14.
     """
-    g = G_COUPLING
-    gp = params.gamma_prime
+    e, w = _phase_and_coupling(params)
+    big_delta = params.delta + 0.5j * (params.gamma_prime + GAMMA_PL)
+    det = _determinant(w, big_delta)
+    if abs(det) < _DET_FLOOR:
+        raise SingularSystem(
+            f"2x2 amplitude system is singular (|det|={abs(det):.3e}) at "
+            f"kd={params.kd}, delta={params.delta}, "
+            f"gamma_prime={params.gamma_prime}"
+        )
+    t, r, a, b, xi1, xi2 = _back_substitute(e, w, big_delta, det)
+    residual = relation_residual(params, t, r, a, b, xi1, xi2)
+    return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
+                              residual=residual)
+
+
+def _reflection_scan(
+    params: ModelParams, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reflection amplitude r over an array of detunings, in one pass.
+
+    Runs the closed form of solve_two_dot on numpy arrays (params.delta is
+    overridden by each entry of deltas) and returns (r, singular), where
+    singular marks the cells at which solve_two_dot raises SingularSystem;
+    r is meaningless there. Numpy's complex arithmetic may differ from
+    CPython's in the last bit, so this is for scans, not for tables.
+    """
+    e, w = _phase_and_coupling(params)
+    big_delta = deltas + 0.5j * (params.gamma_prime + GAMMA_PL)
+    det = _determinant(w, big_delta)
+    singular = np.abs(det) < _DET_FLOOR
+    _, r, _, _, _, _ = _back_substitute(
+        e, w, big_delta, np.where(singular, 1.0, det)
+    )
+    return r, singular
+
+
+def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
+    """e = exp(i*kd) and w = i*(GAMMA_PL*e + Gamma_SR)/2."""
     e = cmath.exp(1j * params.kd)
     s_sr = (
         0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
         if params.include_superradiance
         else 0.0j
     )
-    big_delta = params.delta + 0.5j * (gp + GAMMA_PL)
-    w = 0.5j * GAMMA_PL * e + s_sr
-    # factored determinant avoids cancellation near the singular set
-    det = (w - big_delta) * (w + big_delta)
-    if abs(det) < _DET_FLOOR:
-        raise SingularSystem(
-            f"2x2 amplitude system is singular (|det|={abs(det):.3e}) at "
-            f"kd={params.kd}, delta={params.delta}, gamma_prime={gp}"
-        )
+    return e, 0.5j * GAMMA_PL * e + s_sr
+
+
+def _determinant(w, big_delta):
+    """det of the 2x2 system; the factored form avoids cancellation near
+    the singular set. Arithmetic operators only, so big_delta may be a
+    complex scalar or a numpy array."""
+    return (w - big_delta) * (w + big_delta)
+
+
+def _back_substitute(e, w, big_delta, det):
+    """(t, r, a, b, xi1, xi2) from the 2x2 system with determinant det.
+    Arithmetic operators only, like _determinant."""
+    g = G_COUPLING
     xi1 = 2 * g * (e * w - big_delta) / det
     xi2 = 2 * g * (w - e * big_delta) / det
 
@@ -174,10 +221,7 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
     b = g_over_iv * xi2 * e
     t = 1.0 + g_over_iv * (xi1 + xi2 / e)
     r = g_over_iv * (xi1 + xi2 * e)
-
-    residual = relation_residual(params, t, r, a, b, xi1, xi2)
-    return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
-                              residual=residual)
+    return t, r, a, b, xi1, xi2
 
 
 def relation_residual(
@@ -196,7 +240,8 @@ def relation_residual(
     relation is built from, max(1, |lhs|, |rhs|, |xi1|, |xi2|), so the
     figure stays meaningful next to near-singular points where the emitter
     amplitudes are large and the relation terms cancel. The maximum over
-    the relations is returned.
+    the relations is returned; it is NaN when any relation term is NaN or
+    infinite, never a clean figure.
     """
     g = G_COUPLING
     gp = params.gamma_prime
@@ -220,11 +265,13 @@ def relation_residual(
         (r, g_over_iv * (xi1 + xi2 * e)),
     )
     amp_scale = max(1.0, abs(xi1), abs(xi2))
-    worst = 0.0
-    for lhs, rhs in pairs:
-        scale = max(amp_scale, abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    errors = [
+        abs(lhs - rhs) / max(amp_scale, abs(lhs), abs(rhs))
+        for lhs, rhs in pairs
+    ]
+    # max() drops a NaN; the errors are >= 0, so their sum is NaN exactly
+    # when one of them is
+    return math.nan if math.isnan(sum(errors)) else max(errors)
 
 
 def solve_single_dot(gamma_prime: float, delta: float) -> ScatteringSolution:
@@ -234,6 +281,10 @@ def solve_single_dot(gamma_prime: float, delta: float) -> ScatteringSolution:
     r = t - 1. On resonance with gamma_prime = 0 the emitter is a perfect
     mirror; far detuned it is transparent.
     """
+    if not (math.isfinite(gamma_prime) and math.isfinite(delta)):
+        raise ValueError(
+            f"gamma_prime and delta must be finite, got {gamma_prime}, {delta}"
+        )
     if gamma_prime < 0:
         raise ValueError(f"gamma_prime must be >= 0, got {gamma_prime}")
     denom = delta + 0.5j * (gamma_prime + GAMMA_PL)

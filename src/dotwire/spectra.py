@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
-from .model import ModelParams, solve_two_dot
+from .model import ModelParams, _reflection_scan, solve_two_dot
 
 __all__ = [
     "SpectrumRow",
@@ -118,18 +118,20 @@ def reflection_peak(
 
     R(delta) can be multi-modal (a reflection zero adjacent to a narrow
     subradiant peak), so the argmax is first bracketed by a uniform coarse
-    scan, refined by bounded search, then polished via the stationarity
-    slope; quadratic maxima are localized well inside 1e-8. Lossless maxima
-    are quartically flat (1 - R ~ 0.1 * delta^4), so their returned position
-    is anywhere on the machine-precision plateau (|delta| < ~5e-4) — the
-    peak value is still exact. A coarse argmax on the bracket edge means R
-    is monotone there: NoPeakInBracket.
+    scan (the closed form evaluated on the whole grid in one numpy pass),
+    refined by bounded search, then polished via the stationarity slope,
+    both on the scalar solver; quadratic maxima are localized well inside
+    1e-8. Lossless maxima are quartically flat (1 - R ~ 0.1 * delta^4), so
+    their returned position is anywhere on the machine-precision plateau
+    (|delta| < ~5e-4) — the peak value is still exact. A coarse argmax on
+    the bracket edge means R is monotone there: NoPeakInBracket.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
     grid = np.linspace(lo, hi, n_scan)
-    values = np.array([_reflection(params, float(d)) for d in grid])
+    r, singular = _reflection_scan(params, grid)
+    values = np.where(singular, -math.inf, np.abs(r) ** 2)
     idx = int(np.argmax(values))
     if idx == 0 or idx == n_scan - 1:
         raise NoPeakInBracket(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -59,6 +60,16 @@ class TestUsageErrors:
         code, _, err = run_main(capsys, "storage", "--pulse-ratio", "0.9")
         assert code == 1
         assert "pulse_ratio" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--kd", "nan"),
+        ("peaks", "--gamma-nr", "nan"),
+    ], ids=["spectrum-kd", "peaks-gamma-nr"])
+    def test_non_finite_parameter(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
 
 class TestSpectrumOutput:
@@ -275,6 +286,56 @@ class TestOutDirAndManifest:
         )
         assert code == 2
         assert not out.exists()
+
+    # three data files, so a failure can land between them
+    MULTI = ["spectrum", "--kd", "0.785", "--sr", "both", "--n-points", "3"]
+
+    def test_stale_manifest_removed_before_first_write(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_text('{"outputs": []}\n')
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append((os.path.basename(dst), manifest.exists()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        assert run_main(capsys, "--out", str(out), *self.MULTI)[0] == 0
+        assert replaced[0][0] != "manifest.json"
+        assert not any(present for _, present in replaced[:-1])
+        assert replaced[-1] == ("manifest.json", False)
+        entries = json.loads(manifest.read_text())["outputs"]
+        listed = {entry["path"] for entry in entries}
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+
+    def test_failed_write_leaves_no_manifest(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"outputs": []}\n')
+        calls = []
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, _, err = run_main(capsys, "--out", str(out), *self.MULTI)
+        assert code == 1
+        assert "disk full" in err
+        assert len(calls) == 2
+        # neither the manifest, nor the file written before the failure,
+        # nor a temporary file is left behind
+        assert list(out.iterdir()) == []
 
     def test_unwritable_target_is_config_error(self, capsys, tmp_path):
         blocker = tmp_path / "occupied"

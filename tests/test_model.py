@@ -12,6 +12,8 @@ from dotwire.errors import SingularSystem
 from dotwire.model import (
     GAMMA_PL,
     ModelParams,
+    _reflection_scan,
+    relation_residual,
     solve_single_dot,
     solve_two_dot,
     superradiant_rate,
@@ -61,6 +63,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(kd=0.0, gamma0=0.025, include_superradiance=True)
 
+    @pytest.mark.parametrize("name", ["kd", "delta", "gamma0", "gamma_nr",
+                                      "k0d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"kd": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**fields)
+
     def test_at_delta_copies(self):
         p = ModelParams(kd=1.0, delta=0.0, gamma0=0.025)
         q = p.at_delta(2.0)
@@ -92,6 +102,16 @@ class TestTwoDotSolver:
             )
             worst = max(worst, solve_two_dot(p).residual)
         assert worst <= 1e-12
+
+    def test_residual_is_nan_when_a_term_is_nan(self):
+        # max() would drop a NaN relation and report a clean residual
+        p = ModelParams(kd=1.0, delta=0.3, gamma_nr=0.05)
+        sol = solve_two_dot(p)
+        amps = [sol.t, sol.r, sol.a, sol.b, sol.xi1, sol.xi2]
+        for i in range(len(amps)):
+            bad = list(amps)
+            bad[i] = complex(math.nan, 0.0)
+            assert math.isnan(relation_residual(p, *bad))
 
     def test_zero_reflection_point(self):
         # at kd=pi/4 the lossless reflection zero sits at delta = -tan(kd)/2
@@ -178,6 +198,43 @@ class TestSingleDot:
     def test_negative_gamma_prime_rejected(self):
         with pytest.raises(ValueError):
             solve_single_dot(-0.01, 0.0)
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_single_dot(math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve_single_dot(0.05, math.inf)
+
+
+class TestReflectionScan:
+    """The array path of the closed form against the scalar solve."""
+
+    @pytest.mark.parametrize("with_sr", [False, True])
+    def test_matches_scalar_solve(self, with_sr):
+        params = ModelParams(kd=math.pi / 4, gamma0=0.025, gamma_nr=0.025,
+                             include_superradiance=with_sr)
+        deltas = np.linspace(-2.0, 2.0, 41)
+        r, singular = _reflection_scan(params, deltas)
+        assert not singular.any()
+        for delta, r_scan in zip(deltas, r):
+            sol = solve_two_dot(params.at_delta(float(delta)))
+            assert abs(abs(r_scan) ** 2 - sol.R) <= 1e-15
+
+    def test_singular_mask_is_where_the_solve_raises(self):
+        # lossless kd = 2*pi is singular at delta = 0, a default grid point
+        params = ModelParams(kd=2 * math.pi)
+        deltas = np.linspace(-3.0, 3.0, 2001)
+        _, singular = _reflection_scan(params, deltas)
+        raised = []
+        for delta in deltas:
+            try:
+                solve_two_dot(params.at_delta(float(delta)))
+            except SingularSystem:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert singular.tolist() == raised
+        assert np.flatnonzero(singular).tolist() == [1000]
 
 
 class TestProbabilities:

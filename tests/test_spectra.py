@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from dotwire import spectra
 from dotwire.errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from dotwire.model import ModelParams, solve_two_dot
 from dotwire.spectra import (
     REFINE_TOL,
+    _reflection,
     peak_position_curve,
     reflection_minimum,
     reflection_peak,
@@ -93,6 +95,27 @@ class TestReflectionPeak:
         rec = reflection_peak(ModelParams(kd=2 * PI))
         assert abs(rec.delta_peak) < 1e-6
         assert rec.R_peak > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("params", [
+        lossy_params(PI / 4, with_sr=False),
+        lossy_params(PI / 4, with_sr=True),
+        ModelParams(kd=2 * PI),
+    ], ids=["anchor", "anchor-sr", "2pi-lossless"])
+    def test_coarse_argmax_matches_scalar_scan(self, params, monkeypatch):
+        # the refinement bracket is the coarse argmax and its two neighbours
+        brackets = []
+
+        def recording_minimize(fun, bounds, **kwargs):
+            brackets.append(bounds)
+            return minimize_scalar(fun, bounds=bounds, **kwargs)
+
+        minimize_scalar = spectra.minimize_scalar
+        monkeypatch.setattr(spectra, "minimize_scalar", recording_minimize)
+        reflection_peak(params)
+        grid = np.linspace(-3.0, 3.0, 2001)
+        values = np.array([_reflection(params, float(d)) for d in grid])
+        idx = int(np.argmax(values))
+        assert brackets == [(grid[idx - 1], grid[idx + 1])]
 
     def test_monotone_flank_raises(self):
         with pytest.raises(NoPeakInBracket):
