@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import OPTIONS, Option, load_config
 from .entanglement import concurrence_map, phase_scan
 from .errors import (
     BandwidthTooWide,
@@ -74,56 +74,6 @@ _CONTRACT_ERRORS = (
     PopulationUnderflow,
 )
 _NUMERICAL_ERRORS = (GridTooCoarse, StepTooLarge, NotConverged)
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "spectrum": {
-        "kd": [0.25 * PI, 2.0 * PI],
-        "gamma0": 0.025,
-        "gamma_nr": [0.025, 0.125, 0.5],
-        "sr": "on",
-        "single_dot": False,
-        "gamma_prime": 0.05,
-        "delta_min": -3.0,
-        "delta_max": 3.0,
-        "n_points": 601,
-    },
-    "peaks": {
-        "kd_min": 0.55 * PI,
-        "kd_max": 1.45 * PI,
-        "n_kd": 46,
-        "gamma0": 0.025,
-        "gamma_nr": 0.025,
-        "bracket_lo": -3.0,
-        "bracket_hi": 3.0,
-    },
-    "concurrence-map": {
-        "kd_min": 0.6 * PI,
-        "kd_max": 2.4 * PI,
-        "n_kd": 91,
-        "delta_min": -2.0,
-        "delta_max": 2.0,
-        "n_delta": 81,
-        "gamma0": 0.0,
-        "gamma_nr": 0.0,
-    },
-    "phase": {
-        "gamma_prime": [0.0, 0.025, 0.125],
-        "delta_min": -2.0,
-        "delta_max": 2.0,
-        "n_points": 401,
-        "kd_policy": "even",
-    },
-    "oracle-verify": {
-        "mode": "full",
-        "tolerance": 1e-3,
-        "sigma_k": 0.02,
-    },
-    "storage": {
-        "pulse_ratio": [5.0, 10.0, 20.0, 50.0],
-        "parity": "even",
-        "sigma_t": 10.0,
-    },
-}
 
 _ORACLE_KD = (0.5 * PI, 0.65 * PI, PI, 1.35 * PI, 2.0 * PI)
 _ORACLE_DELTA = (-2.0, -1.3, 1.2, 1.7, 2.3)
@@ -181,81 +131,36 @@ def _build_parser() -> _Parser:
                         help="output format (default csv; oracle-verify "
                         "defaults to json)")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("spectrum", help="T/R/loss detuning sweeps")
-    p.add_argument("--kd", type=float, action="append",
-                   help="emitter spacing phase; repeatable")
-    p.add_argument("--gamma0", type=float,
-                   help="free-space radiative rate of each emitter")
-    p.add_argument("--gamma-nr", type=float, action="append", dest="gamma_nr",
-                   help="non-radiative rate; repeatable (one file per value)")
-    p.add_argument("--sr", choices=("off", "on", "both"),
-                   help="include the collective emission term")
-    p.add_argument("--single-dot", action="store_const", const=True,
-                   dest="single_dot",
-                   help="emit only the single-emitter reference spectrum")
-    p.add_argument("--gamma-prime", type=float, dest="gamma_prime",
-                   help="total loss rate for the single-emitter reference")
-    p.add_argument("--delta-min", type=float, dest="delta_min")
-    p.add_argument("--delta-max", type=float, dest="delta_max")
-    p.add_argument("--n-points", type=int, dest="n_points")
-
-    p = sub.add_parser("peaks", help="reflection-peak position vs spacing")
-    p.add_argument("--kd-min", type=float, dest="kd_min")
-    p.add_argument("--kd-max", type=float, dest="kd_max")
-    p.add_argument("--n-kd", type=int, dest="n_kd")
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--gamma-nr", type=float, dest="gamma_nr")
-    p.add_argument("--bracket-lo", type=float, dest="bracket_lo")
-    p.add_argument("--bracket-hi", type=float, dest="bracket_hi")
-
-    p = sub.add_parser("concurrence-map",
-                       help="post-selected concurrence over (kd, delta)")
-    p.add_argument("--kd-min", type=float, dest="kd_min")
-    p.add_argument("--kd-max", type=float, dest="kd_max")
-    p.add_argument("--n-kd", type=int, dest="n_kd")
-    p.add_argument("--delta-min", type=float, dest="delta_min")
-    p.add_argument("--delta-max", type=float, dest="delta_max")
-    p.add_argument("--n-delta", type=int, dest="n_delta")
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--gamma-nr", type=float, dest="gamma_nr")
-
-    p = sub.add_parser("phase",
-                       help="relative phase along a high-concurrence branch")
-    p.add_argument("--gamma-prime", type=float, action="append",
-                   dest="gamma_prime", help="total loss rate; repeatable")
-    p.add_argument("--delta-min", type=float, dest="delta_min")
-    p.add_argument("--delta-max", type=float, dest="delta_max")
-    p.add_argument("--n-points", type=int, dest="n_points")
-    p.add_argument("--kd-policy", choices=("even", "odd"), dest="kd_policy")
-
-    p = sub.add_parser("oracle-verify",
-                       help="time-domain lattice check of the amplitudes")
-    p.add_argument("--quick", action="store_const", const="quick",
-                   dest="mode", help="three spot points instead of the "
-                   "full matrix")
-    p.add_argument("--coarse", action="store_const", const="coarse",
-                   dest="mode", help="2x2x2 sub-matrix")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--sigma-k", type=float, dest="sigma_k",
-                   help="probe packet spectral width")
-
-    p = sub.add_parser("storage", help="metastable storage efficiency")
-    p.add_argument("--pulse-ratio", type=float, action="append",
-                   dest="pulse_ratio",
-                   help="bright-to-metastable decay ratio P; repeatable")
-    p.add_argument("--parity", choices=("even", "odd"))
-    p.add_argument("--sigma-t", type=float, dest="sigma_t")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in OPTIONS[command]:
+            _add_option(p, option)
     return parser
+
+
+def _add_option(parser: _Parser, option: Option) -> None:
+    if option.switches:
+        for value, help_text in option.switches:
+            parser.add_argument(f"--{value}", action="store_const",
+                                const=value, dest=option.key, help=help_text)
+        return
+    kwargs = {
+        "float": {"type": float},
+        "int": {"type": int},
+        "floats": {"type": float, "action": "append"},
+        "choice": {"choices": option.choices},
+        "flag": {"action": "store_const", "const": True},
+    }[option.kind]
+    parser.add_argument("--" + option.key.replace("_", "-"), dest=option.key,
+                        help=option.help, **kwargs)
 
 
 def _resolve(command: str, args: argparse.Namespace,
              config: dict[str, dict[str, object]]) -> dict[str, object]:
-    effective = dict(_DEFAULTS[command])
+    effective = {option.key: option.default for option in OPTIONS[command]}
     effective.update(config.get(command, {}))
-    for key in _DEFAULTS[command]:
-        value = getattr(args, key, None)
+    for key in effective:
+        value = getattr(args, key)
         if value is not None:
             effective[key] = value
     return effective
@@ -356,6 +261,8 @@ def _oracle_points(mode: str) -> list[tuple[float, float, float, bool]]:
 def _cmd_oracle_verify(p: dict) -> CommandResult:
     packet = WavepacketSpec(sigma_k=p["sigma_k"])
     tolerance = p["tolerance"]
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
     def check(point: tuple[float, float, float, bool]) -> dict:
         kd, delta, gp, with_sr = point
@@ -440,28 +347,26 @@ def _cmd_storage(p: dict) -> CommandResult:
 
 
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "peaks": _cmd_peaks,
-    "concurrence-map": _cmd_concurrence_map,
-    "phase": _cmd_phase,
-    "oracle-verify": _cmd_oracle_verify,
-    "storage": _cmd_storage,
+    "spectrum": (_cmd_spectrum, "T/R/loss detuning sweeps"),
+    "peaks": (_cmd_peaks, "reflection-peak position vs spacing"),
+    "concurrence-map": (_cmd_concurrence_map,
+                        "post-selected concurrence over (kd, delta)"),
+    "phase": (_cmd_phase, "relative phase along a high-concurrence branch"),
+    "oracle-verify": (_cmd_oracle_verify,
+                      "time-domain lattice check of the amplitudes"),
+    "storage": (_cmd_storage, "metastable storage efficiency"),
 }
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     value = float(value)
     return "nan" if math.isnan(value) else f"{value:.17e}"
 
 
 def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return int(value)
     value = float(value)
     return None if math.isnan(value) else value
@@ -475,42 +380,42 @@ def _table_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_json(table: Table) -> str:
-    doc = {
+def _table_doc(table: Table) -> dict:
+    return {
         "columns": table.columns,
         "rows": [[_json_cell(v) for v in row] for row in table.rows],
     }
+
+
+def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _nulls(value):
+    """value with every NaN in it, at any depth, replaced by None (null)."""
+    if isinstance(value, dict):
+        return {key: _nulls(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_nulls(item) for item in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _render_stdout(result: CommandResult, fmt: str) -> str:
-    if fmt == "json":
-        if result.report is not None:
-            return json.dumps(result.report, indent=2) + "\n"
-        if len(result.tables) == 1:
-            return _table_json(result.tables[0])
-        doc = {
-            "tables": [
-                {
-                    "name": t.name,
-                    "columns": t.columns,
-                    "rows": [[_json_cell(v) for v in row] for row in t.rows],
-                }
-                for t in result.tables
-            ]
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if len(result.tables) == 1:
-        return _table_csv(result.tables[0])
-    parts = [f"# {t.name}.csv\n{_table_csv(t)}" for t in result.tables]
-    return "".join(parts)
+    if fmt == "json" and result.report is None and len(result.tables) > 1:
+        return _json_text({"tables": [{"name": t.name, **_table_doc(t)}
+                                      for t in result.tables]})
+    files = _render_files(result, fmt)
+    if len(files) == 1:
+        return files[0][1]
+    return "".join(f"# {name}\n{text}" for name, text in files)
 
 
 def _render_files(result: CommandResult, fmt: str) -> list[tuple[str, str]]:
     if fmt == "json":
         if result.report is not None:
-            return [("report.json", json.dumps(result.report, indent=2) + "\n")]
-        return [(f"{t.name}.json", _table_json(t)) for t in result.tables]
+            return [("report.json", _json_text(_nulls(result.report)))]
+        return [(f"{t.name}.json", _json_text(_table_doc(t)))
+                for t in result.tables]
     return [(f"{t.name}.csv", _table_csv(t)) for t in result.tables]
 
 
@@ -550,7 +455,7 @@ def _write_outputs(
             "wall_time_s": round(wall_time, 3),
             "warnings": warnings,
         }
-        _write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        _write_file(manifest_path, _json_text(manifest))
     except BaseException:
         for path in (manifest_path, *written):
             path.unlink(missing_ok=True)
@@ -586,17 +491,14 @@ def main(argv: list[str] | None = None) -> int:
     root.addHandler(collector)
     started = time.perf_counter()
     try:
-        result = _COMMANDS[args.command](effective)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = _COMMANDS[args.command][0](effective)
     except _CONTRACT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,4 +1,8 @@
-"""INI configuration for the command-line interface.
+"""Command options and the INI configuration for the command-line interface.
+
+OPTIONS declares every option of every command once: its underscored key,
+its kind, its default and its help text. The parser's flags, the INI
+schema and the defaults all come from it.
 
 A config file provides per-command defaults; command-line flags override it.
 Sections are command names, keys are the underscored option names. Unknown
@@ -15,12 +19,13 @@ sections or keys are rejected rather than ignored, so typos fail loudly:
 from __future__ import annotations
 
 import configparser
-from collections.abc import Callable
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["CONFIG_SCHEMA", "load_config"]
+__all__ = ["Option", "OPTIONS", "load_config"]
 
 
 def _float(text: str) -> float:
@@ -53,70 +58,102 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _choice(*allowed: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        if text not in allowed:
+_PARSERS = {"float": _float, "int": _int, "floats": _float_list, "flag": _bool}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One command option, --key-with-dashes on the command line.
+
+    kind is "float", "int", "floats" (a list; the flag repeats), "flag" (a
+    bare flag sets True) or "choice" (one of choices). A choice with
+    switches has no --key flag; each (value, help) switch is a bare --value
+    flag instead.
+    """
+
+    key: str
+    kind: str
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] = ()
+    switches: tuple[tuple[str, str], ...] = ()
+
+    def parse(self, text: str) -> object:
+        """Parse an INI value; ConfigError when it is malformed."""
+        if self.kind != "choice":
+            return _PARSERS[self.kind](text)
+        if text not in self.choices:
             raise ConfigError(
-                f"expected one of {', '.join(allowed)}, got {text!r}"
+                f"expected one of {', '.join(self.choices)}, got {text!r}"
             )
         return text
 
-    return parse
 
-
-CONFIG_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "spectrum": {
-        "kd": _float_list,
-        "gamma0": _float,
-        "gamma_nr": _float_list,
-        "sr": _choice("off", "on", "both"),
-        "single_dot": _bool,
-        "gamma_prime": _float,
-        "delta_min": _float,
-        "delta_max": _float,
-        "n_points": _int,
-    },
-    "peaks": {
-        "kd_min": _float,
-        "kd_max": _float,
-        "n_kd": _int,
-        "gamma0": _float,
-        "gamma_nr": _float,
-        "bracket_lo": _float,
-        "bracket_hi": _float,
-    },
-    "concurrence-map": {
-        "kd_min": _float,
-        "kd_max": _float,
-        "n_kd": _int,
-        "delta_min": _float,
-        "delta_max": _float,
-        "n_delta": _int,
-        "gamma0": _float,
-        "gamma_nr": _float,
-    },
-    "phase": {
-        "gamma_prime": _float_list,
-        "delta_min": _float,
-        "delta_max": _float,
-        "n_points": _int,
-        "kd_policy": _choice("even", "odd"),
-    },
-    "oracle-verify": {
-        "mode": _choice("full", "coarse", "quick"),
-        "tolerance": _float,
-        "sigma_k": _float,
-    },
-    "storage": {
-        "pulse_ratio": _float_list,
-        "parity": _choice("even", "odd"),
-        "sigma_t": _float,
-    },
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "spectrum": (
+        Option("kd", "floats", (0.25 * math.pi, 2.0 * math.pi),
+               "emitter spacing phase; repeatable"),
+        Option("gamma0", "float", 0.025,
+               "free-space radiative rate of each emitter"),
+        Option("gamma_nr", "floats", (0.025, 0.125, 0.5),
+               "non-radiative rate; repeatable (one file per value)"),
+        Option("sr", "choice", "on", "include the collective emission term",
+               choices=("off", "on", "both")),
+        Option("single_dot", "flag", False,
+               "emit only the single-emitter reference spectrum"),
+        Option("gamma_prime", "float", 0.05,
+               "total loss rate for the single-emitter reference"),
+        Option("delta_min", "float", -3.0),
+        Option("delta_max", "float", 3.0),
+        Option("n_points", "int", 601),
+    ),
+    "peaks": (
+        Option("kd_min", "float", 0.55 * math.pi),
+        Option("kd_max", "float", 1.45 * math.pi),
+        Option("n_kd", "int", 46),
+        Option("gamma0", "float", 0.025),
+        Option("gamma_nr", "float", 0.025),
+        Option("bracket_lo", "float", -3.0),
+        Option("bracket_hi", "float", 3.0),
+    ),
+    "concurrence-map": (
+        Option("kd_min", "float", 0.6 * math.pi),
+        Option("kd_max", "float", 2.4 * math.pi),
+        Option("n_kd", "int", 91),
+        Option("delta_min", "float", -2.0),
+        Option("delta_max", "float", 2.0),
+        Option("n_delta", "int", 81),
+        Option("gamma0", "float", 0.0),
+        Option("gamma_nr", "float", 0.0),
+    ),
+    "phase": (
+        Option("gamma_prime", "floats", (0.0, 0.025, 0.125),
+               "total loss rate; repeatable"),
+        Option("delta_min", "float", -2.0),
+        Option("delta_max", "float", 2.0),
+        Option("n_points", "int", 401),
+        Option("kd_policy", "choice", "even", choices=("even", "odd")),
+    ),
+    "oracle-verify": (
+        Option("mode", "choice", "full", choices=("full", "coarse", "quick"),
+               switches=(
+                   ("quick", "three spot points instead of the full matrix"),
+                   ("coarse", "2x2x2 sub-matrix"),
+               )),
+        Option("tolerance", "float", 1e-3),
+        Option("sigma_k", "float", 0.02, "probe packet spectral width"),
+    ),
+    "storage": (
+        Option("pulse_ratio", "floats", (5.0, 10.0, 20.0, 50.0),
+               "bright-to-metastable decay ratio P; repeatable"),
+        Option("parity", "choice", "even", choices=("even", "odd")),
+        Option("sigma_t", "float", 10.0),
+    ),
 }
 
 
 def load_config(path: str | Path) -> dict[str, dict[str, object]]:
-    """Parse an INI config file against the schema.
+    """Parse an INI config file against OPTIONS.
 
     Returns {section: {key: parsed value}}. Raises ConfigError for a
     missing file, unknown section, unknown key, or malformed value.
@@ -135,12 +172,12 @@ def load_config(path: str | Path) -> dict[str, dict[str, object]]:
 
     result: dict[str, dict[str, object]] = {}
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
+        if section not in OPTIONS:
             raise ConfigError(
                 f"unknown config section [{section}] (known: "
-                f"{', '.join(sorted(CONFIG_SCHEMA))})"
+                f"{', '.join(sorted(OPTIONS))})"
             )
-        schema = CONFIG_SCHEMA[section]
+        schema = {option.key: option for option in OPTIONS[section]}
         parsed: dict[str, object] = {}
         for key, raw in parser.items(section):
             if key not in schema:
@@ -149,7 +186,7 @@ def load_config(path: str | Path) -> dict[str, dict[str, object]]:
                     f"{', '.join(sorted(schema))})"
                 )
             try:
-                parsed[key] = schema[key](raw)
+                parsed[key] = schema[key].parse(raw)
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
         result[section] = parsed

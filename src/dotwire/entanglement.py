@@ -105,6 +105,13 @@ def project_state(sol: ScatteringSolution) -> ProjectedState:
     )
 
 
+def _check_gamma_prime(gamma_prime: float) -> None:
+    if not math.isfinite(gamma_prime):
+        raise ValueError(f"gamma_prime must be finite, got {gamma_prime}")
+    if gamma_prime < 0:
+        raise ValueError(f"gamma_prime must be >= 0, got {gamma_prime}")
+
+
 def high_c_curve(kd_values, gamma_prime: float) -> list[tuple[float, float]]:
     """The detuning that keeps the post-selected concurrence high at each kd:
 
@@ -113,8 +120,7 @@ def high_c_curve(kd_values, gamma_prime: float) -> list[tuple[float, float]]:
     Raises TangentPole if any kd sits within 1e-6 of an odd multiple of
     pi/2, where the curve runs off to infinite detuning.
     """
-    if gamma_prime < 0:
-        raise ValueError(f"gamma_prime must be >= 0, got {gamma_prime}")
+    _check_gamma_prime(gamma_prime)
     out = []
     for kd in kd_values:
         kd = float(kd)
@@ -177,8 +183,7 @@ def phase_scan(
     """
     if kd_policy not in ("even", "odd"):
         raise ValueError(f"kd_policy must be 'even' or 'odd', got {kd_policy!r}")
-    if gamma_prime < 0:
-        raise ValueError(f"gamma_prime must be >= 0, got {gamma_prime}")
+    _check_gamma_prime(gamma_prime)
     points = []
     for delta in delta_values:
         delta = float(delta)

@@ -1,15 +1,19 @@
 """Single-photon storage into a metastable emitter level pair.
 
 A narrowband photon drives the bright collective excited state of the two
-emitters (per-emitter guided rate GAMMA_PL/2, so the bright state decays at
-GAMMA_PL = 1) while a classical control Omega(t) transfers the excitation
-into metastable levels that only decay at gamma' = GAMMA_PL / P. For the
-impedance-matched control the stored population obeys
+emitters (per-emitter guided rate GAMMA_PL/2, so the bright state decays
+into the guide at GAMMA_PL = 1) while a classical control Omega(t)
+transfers the excitation into metastable levels, which do not decay. The
+loss sits on the bright excited state: it also decays outside the guide at
+gamma' = GAMMA_PL / P. For the impedance-matched control the stored
+population obeys
 
     d|c_m|^2/dt = -2 * ( d|E_T|^2/dt - (1 - 1/P) * |E_T|^2 )
 
-with |E_T|^2 = envelope^2 / 2, integrating to the efficiency bound
-1 - 1/P. Solving that identity for the control gives
+with |E_T|^2 = envelope^2 / 2, integrating to the design efficiency
+1 - 1/P. That is the value the control is designed for, not a bound: the
+lattice run reaches slightly more (0.80088 at P = 5, sigma_t = 10).
+Solving that identity for the control gives
 
     |c_m(t)|^2 = (1 - 1/P) * int_0^t envelope^2 - envelope^2
     Omega(t)   = (d envelope/dt - (1 - 1/P) * envelope / 2) / |c_m(t)|
@@ -69,8 +73,9 @@ _SPAN_SIGMAS = 11.0
 class StorageParams:
     """Protocol operating point.
 
-    pulse_ratio is P = GAMMA_PL / gamma': the guided rate of the bright
-    excited state over the residual decay rate of the metastable levels.
+    pulse_ratio is P = GAMMA_PL / gamma': the guided decay rate of the
+    bright excited state over its decay rate outside the guide. The
+    metastable levels do not decay; the design efficiency is 1 - 1/P.
     """
 
     pulse_ratio: float
@@ -80,10 +85,14 @@ class StorageParams:
     dk: float = 2e-3
 
     def __post_init__(self) -> None:
+        for name in ("pulse_ratio", "sigma_t", "half_width", "dk"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.pulse_ratio > 1.0:
             raise ValueError(
                 f"pulse_ratio must be > 1, got {self.pulse_ratio} (the "
-                f"metastable levels must outlive the bright state)"
+                f"bright state must decay faster into the guide than out)"
             )
         if self.parity not in ("even", "odd"):
             raise ValueError(

@@ -16,7 +16,9 @@ import sys
 
 import pytest
 
+from dotwire import cli
 from dotwire.cli import main
+from dotwire.errors import NotConverged
 
 PI = math.pi
 
@@ -64,12 +66,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--kd", "nan"),
         ("peaks", "--gamma-nr", "nan"),
-    ], ids=["spectrum-kd", "peaks-gamma-nr"])
+        ("storage", "--pulse-ratio", "inf"),
+        ("storage", "--sigma-t", "nan"),
+        ("phase", "--gamma-prime", "nan"),
+        ("oracle-verify", "--quick", "--sigma-k", "nan"),
+        ("oracle-verify", "--quick", "--tolerance", "nan"),
+    ], ids=["spectrum-kd", "peaks-gamma-nr", "storage-pulse-ratio",
+            "storage-sigma-t", "phase-gamma-prime", "oracle-sigma-k",
+            "oracle-tolerance"])
     def test_non_finite_parameter(self, capsys, argv):
         code, out, err = run_main(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert "must be finite" in err
+        # the message names the parameter that was set
+        name = argv[-2][2:].replace("-", "_")
+        assert f"{name} must be finite" in err
 
 
 class TestSpectrumOutput:
@@ -142,6 +153,35 @@ class TestNanHandling:
         doc = json.loads(out)
         assert doc["rows"][1][2] is None
         assert doc["rows"][0][2] == pytest.approx(1.0)
+
+
+class TestOracleReport:
+    def test_unsettled_point_is_null_in_strict_json(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def unsettled(params, packet):
+            raise NotConverged("emitter population has not decayed")
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        monkeypatch.setattr(cli, "scattering_oracle", unsettled)
+        code, out, _ = run_main(capsys, "oracle-verify", "--quick")
+        assert code == 2
+        code, _, _ = run_main(
+            capsys, "--out", str(tmp_path), "oracle-verify", "--quick"
+        )
+        assert code == 2
+        written = (tmp_path / "report.json").read_text()
+        for text in (out, written):
+            report = json.loads(text, parse_constant=reject)
+            assert report["max_error"] is None
+            assert report["all_within_tolerance"] is False
+            for point in report["points"]:
+                assert point["t_error"] is None
+                assert point["r_error"] is None
+                assert point["within_tolerance"] is False
+                assert isinstance(point["with_sr"], bool)
 
 
 class TestConfigResolution:

@@ -1,12 +1,71 @@
-"""INI config loading: schema coverage, strict rejection, value parsing."""
+"""Option table and INI config loading: flags, strict rejection, value
+parsing, and the same parameters from a flag as from an INI key."""
 
 from __future__ import annotations
 
+import argparse
+import json
+
 import pytest
 
-from dotwire.cli import _DEFAULTS
-from dotwire.config import CONFIG_SCHEMA, load_config
+from dotwire import cli
+from dotwire.config import OPTIONS, load_config
 from dotwire.errors import ConfigError
+
+# each command's flags, in --help order
+FLAGS = {
+    "spectrum": ["--kd", "--gamma0", "--gamma-nr", "--sr", "--single-dot",
+                 "--gamma-prime", "--delta-min", "--delta-max", "--n-points"],
+    "peaks": ["--kd-min", "--kd-max", "--n-kd", "--gamma0", "--gamma-nr",
+              "--bracket-lo", "--bracket-hi"],
+    "concurrence-map": ["--kd-min", "--kd-max", "--n-kd", "--delta-min",
+                        "--delta-max", "--n-delta", "--gamma0", "--gamma-nr"],
+    "phase": ["--gamma-prime", "--delta-min", "--delta-max", "--n-points",
+              "--kd-policy"],
+    "oracle-verify": ["--quick", "--coarse", "--tolerance", "--sigma-k"],
+    "storage": ["--pulse-ratio", "--parity", "--sigma-t"],
+}
+
+# a small run per command that sets every option away from its default,
+# once as flags and once as the INI section
+SETTINGS = {
+    "spectrum": (
+        ["--kd", "0.5", "--kd", "1.5", "--gamma0", "0.03", "--gamma-nr",
+         "0.1", "--sr", "both", "--single-dot", "--gamma-prime", "0.07",
+         "--delta-min", "-1", "--delta-max", "1", "--n-points", "3"],
+        "kd = 0.5, 1.5\ngamma0 = 0.03\ngamma_nr = 0.1\nsr = both\n"
+        "single_dot = true\ngamma_prime = 0.07\ndelta_min = -1\n"
+        "delta_max = 1\nn_points = 3\n",
+    ),
+    "peaks": (
+        ["--kd-min", "2.0", "--kd-max", "2.5", "--n-kd", "2", "--gamma0",
+         "0.03", "--gamma-nr", "0.02", "--bracket-lo", "-2.5",
+         "--bracket-hi", "2.5"],
+        "kd_min = 2.0\nkd_max = 2.5\nn_kd = 2\ngamma0 = 0.03\n"
+        "gamma_nr = 0.02\nbracket_lo = -2.5\nbracket_hi = 2.5\n",
+    ),
+    "concurrence-map": (
+        ["--kd-min", "2.0", "--kd-max", "3.0", "--n-kd", "2", "--delta-min",
+         "-1", "--delta-max", "1", "--n-delta", "3", "--gamma0", "0.01",
+         "--gamma-nr", "0.02"],
+        "kd_min = 2.0\nkd_max = 3.0\nn_kd = 2\ndelta_min = -1\n"
+        "delta_max = 1\nn_delta = 3\ngamma0 = 0.01\ngamma_nr = 0.02\n",
+    ),
+    "phase": (
+        ["--gamma-prime", "0.01", "--gamma-prime", "0.2", "--delta-min",
+         "-1", "--delta-max", "1", "--n-points", "3", "--kd-policy", "odd"],
+        "gamma_prime = 0.01, 0.2\ndelta_min = -1\ndelta_max = 1\n"
+        "n_points = 3\nkd_policy = odd\n",
+    ),
+    "oracle-verify": (
+        ["--coarse", "--tolerance", "0.5", "--sigma-k", "0.03"],
+        "mode = coarse\ntolerance = 0.5\nsigma_k = 0.03\n",
+    ),
+    "storage": (
+        ["--pulse-ratio", "6", "--parity", "odd", "--sigma-t", "12"],
+        "pulse_ratio = 6\nparity = odd\nsigma_t = 12\n",
+    ),
+}
 
 
 def write(tmp_path, text):
@@ -15,13 +74,42 @@ def write(tmp_path, text):
     return path
 
 
-class TestSchema:
-    def test_sections_match_cli_commands(self):
-        assert set(CONFIG_SCHEMA) == set(_DEFAULTS)
+class TestOptionTable:
+    def test_flags_per_command(self):
+        parser = cli._build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert list(commands) == list(FLAGS)
+        for command, subparser in commands.items():
+            flags = [flag for action in subparser._actions
+                     for flag in action.option_strings
+                     if flag not in ("-h", "--help")]
+            assert flags == FLAGS[command], command
 
-    def test_keys_match_cli_defaults(self):
-        for command, schema in CONFIG_SCHEMA.items():
-            assert set(schema) == set(_DEFAULTS[command]), command
+    @pytest.mark.parametrize("command", list(SETTINGS))
+    def test_flag_and_ini_key_give_the_same_parameters(
+        self, command, tmp_path, monkeypatch
+    ):
+        # the lattice run is not what is tested here: stand in the exact
+        # amplitudes so the coarse matrix costs no time stepping
+        monkeypatch.setattr(cli, "scattering_oracle",
+                            lambda params, packet: cli.solve_two_dot(params))
+        flags, ini = SETTINGS[command]
+        by_flag, by_ini = tmp_path / "flag", tmp_path / "ini"
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{command}]\n{ini}")
+        assert cli.main(["--out", str(by_flag), command, *flags]) == 0
+        assert cli.main(["--config", str(config), "--out", str(by_ini),
+                         command]) == 0
+
+        def parameters(directory):
+            manifest = json.loads((directory / "manifest.json").read_text())
+            return list(manifest["parameters"].items())
+
+        assert parameters(by_flag) == parameters(by_ini)
+        for option in OPTIONS[command]:
+            default = json.loads(json.dumps(option.default))
+            assert dict(parameters(by_flag))[option.key] != default, option.key
 
 
 class TestLoadConfig:

@@ -173,3 +173,10 @@ class TestPhaseScan:
             phase_scan([0.0], 0.0, kd_policy="sideways")
         with pytest.raises(ValueError):
             phase_scan([0.0], -0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_loss_rejected(self, value):
+        with pytest.raises(ValueError, match="gamma_prime must be finite"):
+            phase_scan([0.0], value)
+        with pytest.raises(ValueError, match="gamma_prime must be finite"):
+            high_c_curve([1.0], value)

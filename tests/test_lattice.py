@@ -226,6 +226,17 @@ class TestScatteringOracle:
         with pytest.raises(ValueError):
             WavepacketSpec(launch_sigmas=3.0)
 
+    @pytest.mark.parametrize("name", ["sigma_k", "launch_sigmas",
+                                      "ref_ratio"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_packet_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WavepacketSpec(**{name: value})
+
+    def test_zero_ref_ratio_rejected(self):
+        with pytest.raises(ValueError, match="ref_ratio must be > 0"):
+            WavepacketSpec(ref_ratio=0.0)
+
     def test_long_lived_subradiant_state_raises(self):
         # just off the kd = 2*pi decoupling point the antisymmetric state is
         # excitable but decays far too slowly for the chunk budget
@@ -264,7 +275,3 @@ class TestNoJumpEquivalence:
         report = no_jump_equivalence(1e-12, 0.025, t_max=100.0)
         assert report.max_trace_distance <= 1e-8
         assert report.gamma_minus == pytest.approx(0.0, abs=1e-24)
-
-    def test_step_guard(self):
-        with pytest.raises(StepTooLarge):
-            no_jump_equivalence(PI / 2, 0.025, dt=10.0)

@@ -37,6 +37,14 @@ class TestStorageParams:
         with pytest.raises(ValueError):
             StorageParams(pulse_ratio=10.0, parity="mixed")
 
+    @pytest.mark.parametrize("name", ["pulse_ratio", "sigma_t", "half_width",
+                                      "dk"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"pulse_ratio": 10.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            StorageParams(**fields)
+
     def test_derived_rates(self):
         p = StorageParams(pulse_ratio=20.0)
         assert p.gamma_prime == 0.05
