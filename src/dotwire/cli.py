@@ -284,12 +284,16 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
         except NotConverged as exc:
             # An unsettled point is reported as a failing row rather than
             # aborting the rest of the matrix.
-            entry.update(t_error=math.nan, r_error=math.nan,
+            entry.update(t_error=math.nan, r_error=math.nan, n_steps=None,
+                         t_final=None, dot_population=None,
                          within_tolerance=False, note=str(exc))
             return entry
         entry.update(
             t_error=abs(oracle.t - exact.t),
             r_error=abs(oracle.r - exact.r),
+            n_steps=oracle.n_steps,
+            t_final=oracle.t_final,
+            dot_population=oracle.dot_population,
         )
         entry["within_tolerance"] = bool(
             max(entry["t_error"], entry["r_error"]) <= tolerance

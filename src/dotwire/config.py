@@ -145,7 +145,8 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "storage": (
         Option("pulse_ratio", "floats", (5.0, 10.0, 20.0, 50.0),
-               "bright-to-metastable decay ratio P; repeatable"),
+               "P, the bright excited state's decay rate into the guide "
+               "over its decay rate outside it (P > 1); repeatable"),
         Option("parity", "choice", "even", choices=("even", "odd")),
         Option("sigma_t", "float", 10.0),
     ),

@@ -32,8 +32,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.blas import zaxpy
+# scipy.linalg is imported inside the functions that step, so that the
+# closed-form commands, which import this module, load numpy alone.
 
 from .errors import GridTooCoarse, NotConverged, StepTooLarge
 from .model import GAMMA_PL, ModelParams, superradiant_rate
@@ -313,6 +313,8 @@ def _split(
     NotConverged if the norm of modes and amplitudes grows by more than
     1e-9 relative, which neither lattice can do.
     """
+    from scipy.linalg.blas import zaxpy
+
     norm0 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
     cols_adj = np.ascontiguousarray(q.T.conj(), dtype=complex)
     cols = list(cols_adj.conj())
@@ -364,6 +366,8 @@ def evolve(
     NotConverged if the norm grows, which the dynamics here cannot do.
     With n_steps < 1 the state comes back unchanged.
     """
+    from scipy.linalg import expm
+
     n2 = 2 * system.grid.n_modes
     q, r = np.linalg.qr(system.coupling)
     gen = np.zeros((4, 4), dtype=complex)
@@ -504,6 +508,8 @@ def no_jump_equivalence(
     psi_pm(t) = e^{-gamma_pm t / 2} / sqrt(2). Returns the largest trace
     distance seen at the sample times, every 2 time units and at t_max.
     """
+    from scipy.linalg import expm
+
     g_plus, g_minus = gamma_pm(k0d, gamma0)
     # anticommutator {A, rho} on the row-major vec(rho) is A(x)1 + 1(x)A^T
     eye = np.eye(2)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from .model import ModelParams, _reflection_scan, solve_two_dot
@@ -38,6 +37,23 @@ log = logging.getLogger(__name__)
 REFINE_TOL = 1e-8
 _POLE_EXCLUSION = 1e-3  # kd closer than this to an odd pi/2 is skipped
 _FD_STEP = 1e-6  # central-difference step for the stationarity polish
+
+
+# scipy.optimize takes a few tenths of a second to import and only peak
+# refinement and the tunneling minimum need it, so these two names import
+# it on first call; they stay module attributes so tests can patch them.
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first call."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on first call."""
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)

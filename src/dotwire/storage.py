@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+# scipy.linalg is imported inside the functions that step, so that the
+# closed-form commands, which import this module, load numpy alone.
 
 from .errors import BandwidthTooWide, PopulationUnderflow
 from .lattice import _check_step, _split, uniform_mode_grid
@@ -259,6 +260,8 @@ def _run_lattice(
     its sampling step), NotConverged if the norm grows, which the lossy
     dynamics here cannot do.
     """
+    from scipy.linalg import expm
+
     omega = np.asarray(omega)
     if omega.shape != t_grid.shape:
         raise ValueError(

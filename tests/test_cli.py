@@ -182,6 +182,9 @@ class TestOracleReport:
                 assert point["r_error"] is None
                 assert point["within_tolerance"] is False
                 assert isinstance(point["with_sr"], bool)
+                assert point["n_steps"] is None
+                assert point["t_final"] is None
+                assert point["dot_population"] is None
 
 
 class TestConfigResolution:
@@ -421,6 +424,40 @@ class TestSubprocessEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout.startswith("delta,T,R,Loss\n")
 
+    def test_closed_form_commands_start_without_scipy(self, tmp_path):
+        # The pytest process has imported scipy already, so the import
+        # check runs in a fresh interpreter on the same sources.
+        child = """
+import sys
+
+import dotwire
+from dotwire import cli
+
+runs = [
+    ["spectrum", "--n-points", "3"],
+    ["concurrence-map", "--n-kd", "3", "--n-delta", "3"],
+    ["phase", "--n-points", "3"],
+]
+for argv in runs:
+    assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
+print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
+               if name in sys.modules))
+assert cli.main(["--out", sys.argv[1] + "/storage", "storage",
+                 "--pulse-ratio", "5"]) == 0
+print("scipy.optimize" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        closed_form, after_storage = proc.stdout.split("\n")[:2]
+        assert closed_form == ""
+        assert after_storage == "False"
+        assert (tmp_path / "storage" / "storage.csv").is_file()
+
     def test_quick_verification_passes_then_fails_tolerance(self):
         passing = self.run("oracle-verify", "--quick")
         assert passing.returncode == 0
@@ -428,6 +465,11 @@ class TestSubprocessEntryPoints:
         assert report["all_within_tolerance"] is True
         assert report["n_points"] == 3
         assert report["max_error"] < 1e-3
+        for point in report["points"]:
+            assert isinstance(point["n_steps"], int) and point["n_steps"] > 0
+            assert point["t_final"] > 0.0
+            assert 0.0 <= point["dot_population"] <= 1e-6
+            assert "wall_time" not in point
 
         failing = self.run("oracle-verify", "--quick", "--tolerance", "1e-9")
         assert failing.returncode == 2

@@ -11,6 +11,7 @@ import pytest
 from dotwire import cli
 from dotwire.config import OPTIONS, load_config
 from dotwire.errors import ConfigError
+from dotwire.lattice import OracleResult
 
 # each command's flags, in --help order
 FLAGS = {
@@ -92,8 +93,13 @@ class TestOptionTable:
     ):
         # the lattice run is not what is tested here: stand in the exact
         # amplitudes so the coarse matrix costs no time stepping
-        monkeypatch.setattr(cli, "scattering_oracle",
-                            lambda params, packet: cli.solve_two_dot(params))
+        def exact(params, packet):
+            sol = cli.solve_two_dot(params)
+            return OracleResult(t=sol.t, r=sol.r, n_modes=0, n_steps=0,
+                                t_final=0.0, dot_population=0.0,
+                                wall_time=0.0)
+
+        monkeypatch.setattr(cli, "scattering_oracle", exact)
         flags, ini = SETTINGS[command]
         by_flag, by_ini = tmp_path / "flag", tmp_path / "ini"
         config = tmp_path / "run.ini"
