@@ -65,13 +65,13 @@ class GridTooCoarse(DotwireError):
 
 
 class StepTooLarge(DotwireError):
-    """The integrator step is too long for the fastest coupled dynamics.
+    """The storage run's step is too long for its control.
 
-    Both lattice engines share one check: a step may turn the kick block
-    (mode-emitter coupling in the oracle, emitter-control in the storage
-    run) by at most 0.25 rad, since that rate bounds the splitting error;
-    the mode phases are exact. The storage step is fixed by the control
-    grid, so there it means the control is too strong.
+    A step of the storage splitting may turn the emitter-control kick block
+    by at most 0.25 rad, since that angle bounds the splitting error; the
+    mode phases are exact. The step is fixed by the control grid, so this
+    means the control is too strong. The oracle propagates with a Chebyshev
+    series, which has no step, and never raises it.
     """
 
 

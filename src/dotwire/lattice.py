@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the closed-form scattering solution: a
 wavepacket is launched on a discretized two-branch mode lattice coupled to
-the two emitters, evolved with a fourth-order splitting whose pieces (the mode
-phases and the mode-emitter coupling block) are exact exponentials, and the
-transmitted/reflected amplitudes are read off by projecting onto a narrow
-co-moving reference packet. Agreement with the algebraic solver is then
+the two emitters, propagated by exp(-iHt) (the Hamiltonian does not change
+in time, so one Chebyshev series per chunk of time reaches it to rounding),
+and the transmitted/reflected amplitudes are read off by projecting onto a
+narrow co-moving reference packet. Agreement with the algebraic solver is then
 evidence for both.
 
 Lattice layout (state vector of length 2*n + 2):
@@ -32,10 +32,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.linalg is imported inside the functions that step, so that the
-# closed-form commands, which import this module, load numpy alone.
+# scipy.linalg is imported inside no_jump_equivalence, so that the
+# closed-form commands and the oracle, which import this module, load
+# numpy alone.
 
-from .errors import GridTooCoarse, NotConverged, StepTooLarge
+from .errors import GridTooCoarse, NotConverged
 from .model import GAMMA_PL, ModelParams, superradiant_rate
 
 __all__ = [
@@ -57,18 +58,13 @@ _MIN_PACKET_MODES = 200
 _DOT_POP_STOP = 1e-8
 _DOT_POP_FAIL = 1e-6
 _MAX_CHUNKS = 40
-# evolve rejects a step that turns the mode-emitter coupling block by more
-# than this many radians: on the quick oracle point (kd = pi/4, delta = -0.5)
-# the splitting error is 6.9e-4 at 0.29 rad and 1.1e-3 at 0.39 rad, against
-# the oracle's 1e-3 tolerance
-_COUPLING_STEP_LIMIT = 0.25
-# oracle time step: on the --quick and sampled criterion-07 points the
-# amplitudes move by at most 3e-7 when it is halved (at equal final time)
-_DT = 0.025
-# Yoshida's triple jump: Strang steps of W1*dt, W0*dt, W1*dt compose to a
-# symmetric fourth-order step
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
+# the oracle's chunks end on whole multiples of _TICK time units, the first
+# once the packet has passed the emitters, the later ones every 25.025
+_TICK = 0.025
+# evolve cuts its Chebyshev series where the coefficients fall below this
+_SERIES_TOL = 1e-14
+# evolve adds the series terms to its sum this many at a time
+_RING = 16
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,11 @@ class LatticeSystem:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of one wavepacket scattering run."""
+    """Outcome of one wavepacket scattering run.
+
+    n_steps counts the applications of the lattice Hamiltonian that the
+    Chebyshev series of all chunks took; t_final is the time propagated to.
+    """
 
     t: complex
     r: complex
@@ -283,118 +283,113 @@ def build_hamiltonian(
     )
 
 
-def _check_step(dt: float, generators: np.ndarray, what: str) -> None:
-    """StepTooLarge when dt * max ||G||_2 over the stack of kick generators
-    exceeds _COUPLING_STEP_LIMIT; what ends the message with the remedy."""
-    rate = float(np.max(np.linalg.norm(generators, 2, axis=(-2, -1))))
-    if dt * rate > _COUPLING_STEP_LIMIT:
-        raise StepTooLarge(
-            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
-            f"rad/step (limit {_COUPLING_STEP_LIMIT}); {what}"
-        )
+def _bessel_series(x: float) -> np.ndarray:
+    """Coefficients (-i)^k J_k(x), k = 0..K, of the Jacobi-Anger expansion
 
+        exp(-i x cos(theta)) = c_0 + 2 * sum_{k >= 1} c_k cos(k theta),
 
-def _split(
-    modes: np.ndarray,
-    amps: np.ndarray,
-    q: np.ndarray,
-    steps,
-    phase_first: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-phase splitting shared by the oracle and the storage lattice.
-
-    The modes are first multiplied by phase_first; then each (kick, phase)
-    pair from steps applies the kick to the coefficients of the modes on the
-    k orthonormal columns of q followed by the amplitudes, and multiplies
-    the modes by phase. A kick is expm(-i*h*G) minus the identity on the k
-    span rows, so those rows give the change of the span coefficients,
-    which is added back one column of q at a time (one zaxpy per column is
-    cheaper than a matrix-vector product with so few columns).
-    NotConverged if the norm of modes and amplitudes grows by more than
-    1e-9 relative, which neither lattice can do.
+    from one FFT of the left side sampled at N >= 4x + 64 angles, so the
+    aliased terms, J_m(x) with m > 3x, are far below rounding. The series
+    stops before the first coefficient past k = x (and past k = 1) that
+    falls below _SERIES_TOL: from there on they fall faster than
+    geometrically. The rounding of the sampled phases leaves a floor of
+    about 1e-17 * x under the coefficients, so only the first crossing is
+    meaningful.
     """
-    from scipy.linalg.blas import zaxpy
+    n = 1 << math.ceil(math.log2(4.0 * x + 64.0))
+    theta = 2.0 * math.pi / n * np.arange(n)
+    coeffs = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: n // 2] / n
+    start = max(2, math.ceil(x))
+    stop = start + int(np.argmax(np.abs(coeffs[start:]) < _SERIES_TOL))
+    return coeffs[:stop]
 
-    norm0 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
-    cols_adj = np.ascontiguousarray(q.T.conj(), dtype=complex)
-    cols = list(cols_adj.conj())
-    k = len(cols)
-    # coefficients of the modes on the columns of q, then the amplitudes
-    block = np.empty(k + amps.size, dtype=complex)
-    block[k:] = amps
-    modes = modes * phase_first
-    for kick, phase in steps:
-        block[:k] = cols_adj.dot(modes)
-        change = kick.dot(block)
-        for col, c in zip(cols, change):
-            modes = zaxpy(col, modes, a=c)
-        block[k:] = change[k:]
-        modes *= phase
-    amps = block[k:]
-    norm1 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
+
+def _chebyshev(
+    system: LatticeSystem, psi: np.ndarray, t: float
+) -> tuple[np.ndarray, int]:
+    """exp(-i*H*t) psi by one Chebyshev series, and the number of
+    applications of H it took (see evolve)."""
+    n2 = 2 * system.grid.n_modes
+    r = np.linalg.qr(system.coupling, mode="r")
+    gen = np.zeros((4, 4), dtype=complex)
+    gen[:2, 2:] = r
+    gen[2:, :2] = r.conj().T
+    gen[2:, 2:] = system.dot_block
+    rate = float(np.linalg.norm(gen, 2))
+    lo = min(float(np.min(system.eps)), 0.0) - rate
+    hi = max(float(np.max(system.eps)), 0.0) + rate
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coeffs = _bessel_series(half * t)
+    coeffs[1:] *= 2.0
+
+    # 2 * (H - center) / half, so the recurrence needs no further scaling;
+    # complex diag and a column-major coupling make the products cheapest
+    scale = 2.0 / half
+    diag = scale * (np.concatenate([system.eps, system.eps]) - center + 0j)
+    down = np.asfortranarray(scale * system.coupling)
+    up = np.ascontiguousarray(down.conj().T)
+    dots = scale * (system.dot_block - center * np.eye(2))
+
+    def apply(v: np.ndarray, out: np.ndarray) -> None:
+        modes, amps = v[:n2], v[n2:]
+        np.multiply(diag, modes, out=out[:n2])
+        out[:n2] += down.dot(amps)
+        out[n2:] = up.dot(modes) + dots.dot(amps)
+
+    psi = np.asarray(psi, dtype=complex)
+    norm0 = float(np.sum(np.abs(psi) ** 2))
+    # T_0 psi = psi, T_1 psi = (H - center) psi / half and
+    # T_{k+1} psi = apply(T_k psi) - T_{k-1} psi. The T_k psi cycle through
+    # the rows of ring (row k % _RING), and each full ring is added to the
+    # sum in one matrix-vector product.
+    ring = np.empty((_RING, psi.size), dtype=complex)
+    ring[0] = psi
+    apply(psi, ring[1])
+    ring[1] *= 0.5
+    acc = np.zeros(psi.size, dtype=complex)
+    for k in range(2, coeffs.size):
+        row = k % _RING
+        if row == 0:
+            acc += coeffs[k - _RING : k].dot(ring)
+        apply(ring[row - 1], ring[row])
+        ring[row] -= ring[row - 2]
+    first = (coeffs.size - 1) // _RING * _RING
+    acc += coeffs[first:].dot(ring[: coeffs.size - first])
+    acc *= complex(math.cos(center * t), -math.sin(center * t))
+
+    norm1 = float(np.sum(np.abs(acc) ** 2))
     if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
         raise NotConverged(
             f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
             f"gains norm, which a lossless or lossy lattice cannot"
         )
-    return modes, amps
+    return acc, coeffs.size - 1
 
 
-def evolve(
-    system: LatticeSystem,
-    psi: np.ndarray,
-    dt: float,
-    n_steps: int,
-) -> np.ndarray:
-    """Evolve a stacked state for n_steps of dt with an exact-phase splitting.
+def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*H*t) psi for the lattice Hamiltonian H, by one Chebyshev
+    series (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
-    H splits into the diagonal mode energies and the coupling block (the
-    coupling columns plus dot_block), and both exponentials are exact: the
-    first is a phase exp(-i*eps*h) per mode; with coupling = Q R the second
-    acts only on span(Q) and the emitters, where it is the 4x4 generator
-    G = [[0, R], [R^H, dot_block]], exponentiated once per call, so a kick
-    costs a (2 x 2n) projection and two column updates. Yoshida's triple
-    jump composes the Strang steps phase(h/2) kick(h) phase(h/2) into a
-    symmetric fourth-order step; _split runs the kicks and phases.
-    Without loss every piece is unitary and the norm holds to rounding; with
-    loss the negative middle kick can lift a step's norm by at most the
-    splitting error, O(gamma_prime * dt**5), which the loss outweighs.
+    H is applied matrix-free: the diagonal mode energies eps, the (2n x 2)
+    coupling block and the 2x2 dot_block. The real part of H's numerical
+    range, and so of every eigenvalue, lies in
+    [min(eps, 0) - ||G||_2, max(eps, 0) + ||G||_2], where
+    G = [[0, R], [R^H, dot_block]] is the 4x4 coupling-block generator
+    (coupling = Q R); the bound holds without loss, with loss and with the
+    collective term. With a the half-width of that interval, the series of
+    Bessel coefficients (-i)^k J_k(a*t) is cut where they fall below 1e-14,
+    a little past k = a*t, so a call costs about a*t applications of H and
+    is accurate to rounding for any t.
 
-    Mode phases are exact, so the grid edge sets no step limit. What does is
-    the coupling block: StepTooLarge when dt * ||G||_2 exceeds 0.25 rad,
-    where the splitting error approaches the oracle's 1e-3 tolerance.
-    NotConverged if the norm grows, which the dynamics here cannot do.
-    With n_steps < 1 the state comes back unchanged.
+    ValueError unless t is finite and >= 0; t = 0 returns an unchanged
+    copy. NotConverged if the norm grows by more than 1e-9 relative, which
+    neither a lossless nor a lossy lattice can do.
     """
-    from scipy.linalg import expm
-
-    n2 = 2 * system.grid.n_modes
-    q, r = np.linalg.qr(system.coupling)
-    gen = np.zeros((4, 4), dtype=complex)
-    gen[:2, 2:] = r
-    gen[2:, :2] = r.conj().T
-    gen[2:, 2:] = system.dot_block
-    _check_step(dt, gen, "reduce dt")
-    if n_steps < 1:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if t == 0.0:
         return np.array(psi, dtype=complex)
-
-    # kick propagators minus the identity on the span(Q) rows
-    span = np.diag([1.0, 1.0, 0.0, 0.0])
-    outer = expm(-1j * _W1 * dt * gen) - span
-    inner = expm(-1j * _W0 * dt * gen) - span
-    eps2 = np.concatenate([system.eps, system.eps])
-    half = np.exp(-0.5j * _W1 * dt * eps2)
-    mid = np.exp(-0.5j * (_W1 + _W0) * dt * eps2)
-    full = half * half
-
-    def steps():
-        for i in range(n_steps):
-            yield outer, mid
-            yield inner, mid
-            yield outer, full if i < n_steps - 1 else half
-
-    modes, amps = _split(psi[:n2], psi[n2:], q, steps(), half)
-    return np.concatenate([modes, amps])
+    return _chebyshev(system, psi, t)[0]
 
 
 def _make_packet(
@@ -419,10 +414,11 @@ def scattering_oracle(
     """Scatter one wavepacket off the emitter pair and read out (t, r).
 
     The packet must be resolved by at least 200 modes within +-4 sigma_k of
-    the carrier (GridTooCoarse otherwise). evolve() steps it with dt = 0.025
-    until the packet has passed and the emitter population has decayed below
-    1e-8, up to a chunk cap; NotConverged if the population is still above
-    1e-6 there.
+    the carrier (GridTooCoarse otherwise). It is propagated in chunks, each
+    one Chebyshev series (see evolve), that end on multiples of 0.025: the
+    first once the packet has passed the emitters, then every 25.025, until
+    the emitter population has decayed below 1e-8, up to 40 chunks;
+    NotConverged if the population is still above 1e-6 there.
     The amplitudes come from projecting each branch onto a narrow co-moving
     reference, normalized by the same projection of the freely propagated
     input.
@@ -443,18 +439,19 @@ def scattering_oracle(
     psi = np.zeros(system.size, dtype=complex)
     psi[:n] = f
 
-    dt = _DT
     t_pass = abs(x0) + 5.0 * packet.sigma_x
     started = time.perf_counter()
     n_steps = 0
-    chunk = int(t_pass / dt) + 1
+    ticks = 0
+    chunk = int(t_pass / _TICK) + 1
     for _ in range(_MAX_CHUNKS):
-        psi = evolve(system, psi, dt, chunk)
-        n_steps += chunk
-        chunk = int(25.0 / dt) + 1
+        psi, applied = _chebyshev(system, psi, chunk * _TICK)
+        n_steps += applied
+        ticks += chunk
+        chunk = int(25.0 / _TICK) + 1
         if float(np.sum(np.abs(psi[2 * n :]) ** 2)) < _DOT_POP_STOP:
             break
-    t_final = n_steps * dt
+    t_final = ticks * _TICK
     dot_population = float(np.sum(np.abs(psi[2 * n :]) ** 2))
     if dot_population > _DOT_POP_FAIL:
         raise NotConverged(

@@ -40,8 +40,13 @@ import numpy as np
 # scipy.linalg is imported inside the functions that step, so that the
 # closed-form commands, which import this module, load numpy alone.
 
-from .errors import BandwidthTooWide, PopulationUnderflow
-from .lattice import _check_step, _split, uniform_mode_grid
+from .errors import (
+    BandwidthTooWide,
+    NotConverged,
+    PopulationUnderflow,
+    StepTooLarge,
+)
+from .lattice import uniform_mode_grid
 from .model import GAMMA_PL
 
 __all__ = [
@@ -68,6 +73,9 @@ _CONTROL_DT = 0.09
 _KICK_BLOCK = 512
 _PEAK_SIGMAS = 5.0
 _SPAN_SIGMAS = 11.0
+# a step may turn the emitter-control kick block by at most this many
+# radians, since that angle bounds the splitting error of the step
+_COUPLING_STEP_LIMIT = 0.25
 
 
 @dataclass(frozen=True)
@@ -233,6 +241,63 @@ def _input_modes(
     return np.sqrt(weights) * eh / math.sqrt(math.pi) / 2.0
 
 
+def _check_step(dt: float, generators: np.ndarray, what: str) -> None:
+    """StepTooLarge when dt * max ||G||_2 over the stack of kick generators
+    exceeds _COUPLING_STEP_LIMIT; what ends the message with the remedy."""
+    rate = float(np.max(np.linalg.norm(generators, 2, axis=(-2, -1))))
+    if dt * rate > _COUPLING_STEP_LIMIT:
+        raise StepTooLarge(
+            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
+            f"rad/step (limit {_COUPLING_STEP_LIMIT}); {what}"
+        )
+
+
+def _split(
+    modes: np.ndarray,
+    amps: np.ndarray,
+    q: np.ndarray,
+    steps,
+    phase_first: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-phase splitting of the storage lattice.
+
+    The modes are first multiplied by phase_first; then each (kick, phase)
+    pair from steps applies the kick to the coefficients of the modes on the
+    k orthonormal columns of q followed by the amplitudes, and multiplies
+    the modes by phase. A kick is expm(-i*h*G) minus the identity on the k
+    span rows, so those rows give the change of the span coefficients,
+    which is added back one column of q at a time (one zaxpy per column is
+    cheaper than a matrix-vector product with so few columns).
+    NotConverged if the norm of modes and amplitudes grows by more than
+    1e-9 relative, which the lossy storage lattice cannot do.
+    """
+    from scipy.linalg.blas import zaxpy
+
+    norm0 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
+    cols_adj = np.ascontiguousarray(q.T.conj(), dtype=complex)
+    cols = list(cols_adj.conj())
+    k = len(cols)
+    # coefficients of the modes on the columns of q, then the amplitudes
+    block = np.empty(k + amps.size, dtype=complex)
+    block[k:] = amps
+    modes = modes * phase_first
+    for kick, phase in steps:
+        block[:k] = cols_adj.dot(modes)
+        change = kick.dot(block)
+        for col, c in zip(cols, change):
+            modes = zaxpy(col, modes, a=c)
+        block[k:] = change[k:]
+        modes *= phase
+    amps = block[k:]
+    norm1 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
+    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
+        raise NotConverged(
+            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
+            f"gains norm, which a lossless or lossy lattice cannot"
+        )
+    return modes, amps
+
+
 def _run_lattice(
     params: StorageParams,
     t_grid: np.ndarray,
@@ -248,7 +313,7 @@ def _run_lattice(
     sqrt(2)*psi (coupled to the bright state through g = 2*kap), the bright
     excited amplitude and the symmetric metastable amplitude. The parity
     sign drops out. A step is the mode phase exp(-i*nu*dt/2), an exact kick
-    and the second half phase, run by lattice._split. The kick acts on
+    and the second half phase, run by _split. The kick acts on
     span(g/|g|) and the two amplitudes, where it is the 3x3 generator
     G = [[0, |g|, 0], [|g|, -i*gp/2, om], [0, conj(om), 0]] with om the
     midpoint average of omega over the interval; its expm is formed in

@@ -400,12 +400,18 @@ class TestStorageCommand:
         assert eff == pytest.approx(0.8, abs=5e-3)
 
 
+def _child(*argv):
+    """Run a fresh interpreter on these sources, with src/ on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 class TestSubprocessEntryPoints:
     def run(self, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "dotwire", *argv],
-            capture_output=True, text=True, timeout=300,
-        )
+        return _child("-m", "dotwire", *argv)
 
     def test_version(self):
         proc = self.run("--version")
@@ -437,6 +443,7 @@ runs = [
     ["spectrum", "--n-points", "3"],
     ["concurrence-map", "--n-kd", "3", "--n-delta", "3"],
     ["phase", "--n-points", "3"],
+    ["oracle-verify", "--quick"],
 ]
 for argv in runs:
     assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
@@ -446,12 +453,7 @@ assert cli.main(["--out", sys.argv[1] + "/storage", "storage",
                  "--pulse-ratio", "5"]) == 0
 print("scipy.optimize" in sys.modules)
 """
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path)],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
+        proc = _child("-c", child, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         closed_form, after_storage = proc.stdout.split("\n")[:2]
         assert closed_form == ""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dotwire.errors import GridTooCoarse, NotConverged, StepTooLarge
+from dotwire.errors import GridTooCoarse, NotConverged
 from dotwire.lattice import (
     LatticeSystem,
     WavepacketSpec,
@@ -87,18 +87,19 @@ class TestBuildHamiltonian:
 
 
 class TestEvolve:
-    def test_step_limit_enforced(self):
-        grid = uniform_mode_grid(3.0, 0.5)
-        system = build_hamiltonian(
-            grid, ModelParams(kd=PI / 2), line_check=False
+    def system(self):
+        grid = uniform_mode_grid(3.0, 0.1)
+        return build_hamiltonian(
+            grid,
+            ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
+                        k0d=0.8, include_superradiance=True),
+            line_check=False,
         )
-        psi = np.zeros(system.size, dtype=complex)
-        psi[0] = 1.0
-        # the coupling block turns at ~1.3 rad per unit time: dt = 0.5 is
-        # 0.65 rad/step, well past the 0.25 rad limit; dt = 0.1 is inside
-        with pytest.raises(StepTooLarge):
-            evolve(system, psi, dt=0.5, n_steps=10)
-        evolve(system, psi, dt=0.1, n_steps=10)
+
+    def random_state(self, system, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
+        return psi / np.linalg.norm(psi)
 
     def test_zero_steps_return_the_state_unchanged(self):
         grid = uniform_mode_grid(3.0, 0.1)
@@ -107,8 +108,17 @@ class TestEvolve:
         )
         rng = np.random.default_rng(5)
         psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
-        # no leading half phase may reach the modes without a step
-        assert np.array_equal(evolve(system, psi, 0.02, 0), psi)
+        # t = 0 skips the series: the state comes back exactly, as a copy
+        out = evolve(system, psi, 0.0)
+        assert np.array_equal(out, psi)
+        assert out is not psi
+
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, -math.inf])
+    def test_bad_time_rejected(self, t):
+        system = self.system()
+        psi = self.random_state(system, 5)
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            evolve(system, psi, t)
 
     def test_lossless_evolution_conserves_norm(self):
         grid = uniform_mode_grid(3.0, 0.05)
@@ -117,36 +127,31 @@ class TestEvolve:
         )
         psi = np.zeros(system.size, dtype=complex)
         psi[-2] = 1.0
-        out = evolve(system, psi, dt=0.02, n_steps=500)
-        # every piece of the splitting is unitary on a Hermitian generator,
-        # so the norm holds to rounding
+        out = evolve(system, psi, 10.0)
+        # exp(-iHt) is unitary on a Hermitian generator and the series
+        # reaches it to rounding, so the norm holds to rounding
         norm = float(np.sum(np.abs(out) ** 2))
         assert abs(norm - 1.0) <= 1e-12
 
-    def test_matches_dense_propagator_at_fourth_order(self):
-        grid = uniform_mode_grid(3.0, 0.1)
-        system = build_hamiltonian(
-            grid,
-            ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
-                        k0d=0.8, include_superradiance=True),
-            line_check=False,
-        )
-        rng = np.random.default_rng(3)
-        psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
-        psi /= np.linalg.norm(psi)
-        exact = expm(-2j * system.to_dense()) @ psi
-        errors = [
-            float(np.max(np.abs(evolve(system, psi, 2.0 / k, k) - exact)))
-            for k in (20, 40)
-        ]
-        assert errors[0] < 1e-5
-        # halving the step cuts a fourth-order error 16-fold
-        assert errors[0] / errors[1] > 12.0
+    @pytest.mark.parametrize("t", [2.0, 60.0])
+    def test_matches_dense_propagator(self, t):
+        # lossy and collective: the spectral bound must hold off the real
+        # axis too
+        system = self.system()
+        psi = self.random_state(system, 3)
+        exact = expm(-1j * t * system.to_dense()) @ psi
+        assert float(np.max(np.abs(evolve(system, psi, t) - exact))) <= 1e-12
+
+    def test_two_calls_compose(self):
+        system = self.system()
+        psi = self.random_state(system, 7)
+        twice = evolve(system, evolve(system, psi, 7.3), 11.1)
+        once = evolve(system, psi, 7.3 + 11.1)
+        assert float(np.max(np.abs(twice - once))) <= 1e-12
 
     def test_norm_growth_raises(self):
-        # gain on the emitter diagonal leaves the coupling-block rate, and so
-        # the a-priori step check, untouched; the a-posteriori norm check
-        # still catches the growth
+        # gain on the emitter diagonal leaves the spectral interval of the
+        # series in place; the a-posteriori norm check catches the growth
         grid = uniform_mode_grid(3.0, 0.1)
         honest = build_hamiltonian(grid, ModelParams(kd=PI / 2),
                                    line_check=False)
@@ -157,7 +162,7 @@ class TestEvolve:
         psi = np.zeros(gaining.size, dtype=complex)
         psi[-2] = 1.0
         with pytest.raises(NotConverged):
-            evolve(gaining, psi, dt=0.02, n_steps=200)
+            evolve(gaining, psi, 4.0)
 
 
 class TestCollectiveDecayOnLattice:
@@ -171,12 +176,11 @@ class TestCollectiveDecayOnLattice:
     def test_bright_state_decays_at_doubled_rate(self):
         system, psi, n = self.setup_bright_dark()
         psi[2 * n] = psi[2 * n + 1] = 1.0 / math.sqrt(2)
-        dt = 0.002
         times, pops = [], []
         t = 0.0
         for _ in range(60):
-            psi = evolve(system, psi, dt, 25)
-            t += 25 * dt
+            psi = evolve(system, psi, 0.05)
+            t += 0.05
             if t >= 0.1:
                 times.append(t)
                 pops.append(float(np.sum(np.abs(psi[2 * n:]) ** 2)))
@@ -189,8 +193,7 @@ class TestCollectiveDecayOnLattice:
         system, psi, n = self.setup_bright_dark()
         psi[2 * n] = 1.0 / math.sqrt(2)
         psi[2 * n + 1] = -1.0 / math.sqrt(2)
-        dt = 0.002
-        out = evolve(system, psi, dt, 800)
+        out = evolve(system, psi, 1.6)
         pop = float(np.sum(np.abs(out[2 * n:]) ** 2))
         assert pop == pytest.approx(1.0, abs=1e-10)
 
@@ -215,6 +218,11 @@ class TestScatteringOracle:
         assert abs(result.t - exact.t) < 1e-3
         assert abs(result.r - exact.r) < 1e-3
         assert result.dot_population < 1e-6
+
+    def test_series_cost_at_the_quick_point(self):
+        # 1794 applications of H measured at the quick point, plus 25%
+        result = scattering_oracle(ModelParams(kd=PI / 4, delta=-0.5))
+        assert result.n_steps <= 2242
 
     def test_unresolved_packet_raises(self):
         with pytest.raises(GridTooCoarse):
