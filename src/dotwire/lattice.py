@@ -6,7 +6,9 @@ the two emitters, propagated by exp(-iHt) (the Hamiltonian does not change
 in time, so one Chebyshev series per chunk of time reaches it to rounding),
 and the transmitted/reflected amplitudes are read off by projecting onto a
 narrow co-moving reference packet. Agreement with the algebraic solver is then
-evidence for both.
+evidence for both. The series is sized by the exact extreme eigenvalues of
+the Hermitian part of H, found once per system from a 2x2 secular equation
+(LatticeSystem.spectral_interval).
 
 Lattice layout (state vector of length 2*n + 2):
 
@@ -21,8 +23,10 @@ J = sin(kd)/2 plus a principal-value counterterm evaluated on the grid,
 which also corrects the finite window (so the window can stay narrow).
 
 The module also carries the collective-decay equivalence check: evolving the
-no-jump master equation for two emitters and comparing against pure
-non-Hermitian evolution with rates gamma0 * (1 +- sin(k0d)/(k0d)).
+site-basis master equation of two emitters and comparing its no-jump part
+against pure non-Hermitian evolution with rates gamma0 * (1 +- sin(k0d)/(k0d)).
+
+Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-# scipy.linalg is imported inside no_jump_equivalence, so that the
-# closed-form commands and the oracle, which import this module, load
-# numpy alone.
 
 from .errors import GridTooCoarse, NotConverged
 from .model import GAMMA_PL, ModelParams, superradiant_rate
@@ -65,6 +67,11 @@ _TICK = 0.025
 _SERIES_TOL = 1e-14
 # evolve adds the series terms to its sum this many at a time
 _RING = 16
+# spectral_interval's edges lie outside the spectrum by at most twice
+# this, relative to the larger of its two starts
+_EDGE_PAD = 2.5e-7
+# Newton steps per edge before spectral_interval gives up (it takes 0-5)
+_EDGE_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,48 @@ class LatticeSystem:
     def size(self) -> int:
         return 2 * self.grid.n_modes + 2
 
+    @cached_property
+    def spectral_interval(self) -> tuple[float, float]:
+        """(lo, hi) enclosing the eigenvalues of the Hermitian part
+        H_h = (H + H^H) / 2, and so the real part of every eigenvalue of H;
+        computed once per system.
+
+        H_h = [[E, C], [C^H, D_h]] with E = diag(eps, eps), C = coupling and
+        D_h the Hermitian part of dot_block. Each edge comes from the 2x2
+        secular equation of _secular_edge, started at the extreme eigenvalue
+        of the 4x4 principal submatrix of the outermost mode (both branches)
+        and the two emitters, which lies inside the spectrum by Cauchy
+        interlacing. The lower edge is the upper edge of -H_h. Each edge
+        lies outside the spectrum by at most 2 * _EDGE_PAD of the larger
+        start in magnitude, which is at most the spectral radius of H_h.
+        """
+        n = self.grid.n_modes
+        right, left = self.coupling[:n], self.coupling[n:]
+        # C^H (lam - E)^{-1} C = sum_k M_k / (lam - eps_k), with M_k the 2x2
+        # [[m11, m12], [conj(m12), m22]] of mode k on both branches, held as
+        # the columns (m11, m22, m12)
+        weights = np.stack([
+            np.abs(right[:, 0]) ** 2 + np.abs(left[:, 0]) ** 2,
+            np.abs(right[:, 1]) ** 2 + np.abs(left[:, 1]) ** 2,
+            right[:, 0].conj() * right[:, 1] + left[:, 0].conj() * left[:, 1],
+        ], axis=1)
+        d_h = 0.5 * (self.dot_block + self.dot_block.conj().T)
+
+        def corner(k: int) -> np.ndarray:
+            sub = np.zeros((4, 4), dtype=complex)
+            sub[0, 0] = sub[1, 1] = self.eps[k]
+            sub[:2, 2:] = self.coupling[[k, n + k]]
+            sub[2:, :2] = sub[:2, 2:].conj().T
+            sub[2:, 2:] = d_h
+            return np.linalg.eigvalsh(sub)
+
+        start_lo = float(corner(int(np.argmin(self.eps)))[0])
+        start_hi = float(corner(int(np.argmax(self.eps)))[-1])
+        pad = _EDGE_PAD * max(abs(start_lo), abs(start_hi))
+        hi = _secular_edge(self.eps, weights, d_h, start_hi, pad)
+        lo = -_secular_edge(-self.eps, weights, -d_h, -start_lo, pad)
+        return lo, hi
+
     def to_dense(self) -> np.ndarray:
         """Materialize H (for structure and propagator tests)."""
         n2 = 2 * self.grid.n_modes
@@ -169,11 +218,16 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class NoJumpReport:
-    """Comparison of no-jump master-equation and non-Hermitian evolution."""
+    """Comparison of no-jump master-equation and non-Hermitian evolution.
+
+    max_trace_error is the largest |tr rho - 1| of the full master
+    equation, whose jumps keep the trace.
+    """
 
     gamma_plus: float
     gamma_minus: float
     max_trace_distance: float
+    max_trace_error: float
     t_max: float
 
 
@@ -283,6 +337,53 @@ def build_hamiltonian(
     )
 
 
+def _secular_edge(
+    eps: np.ndarray,
+    weights: np.ndarray,
+    d_h: np.ndarray,
+    start: float,
+    pad: float,
+) -> float:
+    """Upper edge of the spectrum of H_h = [[E, C], [C^H, D_h]], padded.
+
+    For lam > max(E), lam - H_h is positive definite exactly when the 2x2
+    Schur complement S(lam) = lam - D_h - C^H (lam - E)^{-1} C is
+    (Haynsworth inertia); weights holds C^H (lam - E)^{-1} C as in
+    LatticeSystem.spectral_interval. The smallest eigenvalue f(lam) of S,
+    in closed form, is increasing with slope >= 1 and concave there, so
+    Newton's method started at or below the top eigenvalue never passes it.
+    Each step goes pad further, so the first lam where S is found positive
+    definite lies at most pad above the edge; it is returned plus pad, which
+    covers rounding in that check (slope >= 1). start must lie at or below
+    the top eigenvalue of H_h.
+    """
+    lam = max(start, float(np.max(eps))) + pad
+    for _ in range(_EDGE_ITER):
+        r = 1.0 / (lam - eps)
+        s = r.dot(weights)
+        ds = (r * r).dot(weights)
+        a = lam - d_h[0, 0].real - s[0].real
+        d = lam - d_h[1, 1].real - s[1].real
+        b = -d_h[0, 1] - s[2]
+        half_gap = 0.5 * (a - d)
+        root = math.hypot(half_gap, abs(b))
+        f = 0.5 * (a + d) - root
+        if f > 0.0:
+            return lam + pad
+        # dS/dlam = 1 + sum_k M_k / (lam - eps_k)^2; where the two
+        # eigenvalues of S meet, their mean slope is a supergradient
+        da, dd = 1.0 + ds[0].real, 1.0 + ds[1].real
+        slope = 0.5 * (da + dd)
+        if root > 0.0:
+            slope -= (half_gap * 0.5 * (da - dd)
+                      + (b.conjugate() * ds[2]).real) / root
+        lam += pad - f / slope
+    raise NotConverged(
+        f"spectral edge not found in {_EDGE_ITER} Newton steps "
+        f"(last {lam!r}); is H finite?"
+    )
+
+
 def _bessel_series(x: float) -> np.ndarray:
     """Coefficients (-i)^k J_k(x), k = 0..K, of the Jacobi-Anger expansion
 
@@ -310,14 +411,7 @@ def _chebyshev(
     """exp(-i*H*t) psi by one Chebyshev series, and the number of
     applications of H it took (see evolve)."""
     n2 = 2 * system.grid.n_modes
-    r = np.linalg.qr(system.coupling, mode="r")
-    gen = np.zeros((4, 4), dtype=complex)
-    gen[:2, 2:] = r
-    gen[2:, :2] = r.conj().T
-    gen[2:, 2:] = system.dot_block
-    rate = float(np.linalg.norm(gen, 2))
-    lo = min(float(np.min(system.eps)), 0.0) - rate
-    hi = max(float(np.max(system.eps)), 0.0) + rate
+    lo, hi = system.spectral_interval
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _bessel_series(half * t)
     coeffs[1:] *= 2.0
@@ -372,14 +466,15 @@ def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
 
     H is applied matrix-free: the diagonal mode energies eps, the (2n x 2)
     coupling block and the 2x2 dot_block. The real part of H's numerical
-    range, and so of every eigenvalue, lies in
-    [min(eps, 0) - ||G||_2, max(eps, 0) + ||G||_2], where
-    G = [[0, R], [R^H, dot_block]] is the 4x4 coupling-block generator
-    (coupling = Q R); the bound holds without loss, with loss and with the
-    collective term. With a the half-width of that interval, the series of
-    Bessel coefficients (-i)^k J_k(a*t) is cut where they fall below 1e-14,
-    a little past k = a*t, so a call costs about a*t applications of H and
-    is accurate to rounding for any t.
+    range, and so of every eigenvalue, is the numerical range of the
+    Hermitian part H_h = (H + H^H) / 2, whose extreme eigenvalues
+    system.spectral_interval finds to about 1e-6 relative, on the outer
+    side, once per system. Loss and the collective decay term only move
+    eigenvalues below the real axis; a gain would move them above it, and
+    the norm check below catches it. With a the half-width of that
+    interval, the series of Bessel coefficients (-i)^k J_k(a*t) is cut
+    where they fall below 1e-14, a little past k = a*t, so a call costs
+    about a*t applications of H and is accurate to rounding for any t.
 
     ValueError unless t is finite and >= 0; t = 0 returns an unchanged
     copy. NotConverged if the norm grows by more than 1e-9 relative, which
@@ -495,36 +590,69 @@ def no_jump_equivalence(
     gamma0: float,
     t_max: float = 400.0,
 ) -> NoJumpReport:
-    """Check that conditional (no-jump) master-equation evolution equals
-    non-Hermitian evolution with the collective rates.
+    """Check that the no-jump part of the two-emitter master equation is
+    non-Hermitian evolution with the collective rates gamma_pm.
 
-    Starting from the single-emitter excitation (symmetric + antisymmetric)
-    / sqrt(2), route (i) propagates the vectorised density matrix under
-    d rho/dt = -(1/2) sum_pm gamma_pm {P_pm, rho} with the exact propagator
-    expm(L*t) of the 4x4 Liouvillian L; route (ii) is the closed form
-    psi_pm(t) = e^{-gamma_pm t / 2} / sqrt(2). Returns the largest trace
-    distance seen at the sample times, every 2 time units and at t_max.
+    Route (i) knows nothing of gamma_pm. It propagates the site-basis master
+    equation of the levels g, e1, e2 (Lehmberg, Phys. Rev. A 2, 883 (1970)),
+
+        d rho/dt = sum_ij Gamma_ij (s_j rho s_i^+ - {s_i^+ s_j, rho} / 2),
+
+    with s_i = |g><e_i| and Gamma = gamma0 * [[1, s], [s, 1]],
+    s = sin(k0d)/(k0d), from rho = |e1><e1|, exactly. Its 9x9 Liouvillian
+    is a real symmetric anticommutator part, zero on rho_gg, plus the jumps,
+    which only feed rho_gg; so the excited block of rho is the no-jump
+    evolution. One eigh diagonalizes the symmetric part with an orthogonal
+    basis, also where rates coincide (k0d -> 0, k0d = pi), and the jumps
+    are integrated in closed form. Route (ii) is the closed form
+    psi_pm(t) = e^{-gamma_pm t / 2} / sqrt(2) in the basis
+    (e1 +- e2) / sqrt(2). Returns the largest trace distance between the
+    excited block and psi psi^H, and the largest |tr rho - 1|, over the
+    sample times every 2 time units and at t_max; a NaN anywhere reaches
+    both.
+
+    ValueError unless k0d, gamma0 and t_max are finite and t_max > 0.
     """
-    from scipy.linalg import expm
-
+    for name, value in (("k0d", k0d), ("gamma0", gamma0), ("t_max", t_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if t_max <= 0.0:
+        raise ValueError(f"t_max must be > 0, got {t_max}")
     g_plus, g_minus = gamma_pm(k0d, gamma0)
-    # anticommutator {A, rho} on the row-major vec(rho) is A(x)1 + 1(x)A^T
-    eye = np.eye(2)
-    decay = np.diag([g_plus, g_minus])
-    liouvillian = -0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
-    psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho0 = np.outer(psi0, psi0.conj()).reshape(4)
+    cross = superradiant_rate(k0d, gamma0)
 
-    worst = 0.0
-    for t in (*np.arange(2.0, t_max, 2.0), t_max):
-        rho = expm(liouvillian * t).dot(rho0)
-        psi = psi0 * np.exp(-0.5 * np.array([g_plus, g_minus]) * t)
-        diff = rho.reshape(2, 2) - np.outer(psi, psi.conj())
-        trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-        worst = max(worst, trace_distance)
+    # Gamma on the levels (g, e1, e2); s_i^+ s_j = |e_i><e_j|, so the
+    # anticommutator is Gamma (x) 1 + 1 (x) Gamma^T on the row-major
+    # vec(rho), and the jumps add sum_ij Gamma_ij rho_{e_j e_i} to rho_gg
+    rates = np.zeros((3, 3))
+    rates[1:, 1:] = [[gamma0, cross], [cross, gamma0]]
+    eye = np.eye(3)
+    values, vectors = np.linalg.eigh(
+        -0.5 * (np.kron(rates, eye) + np.kron(eye, rates.T))
+    )
+    jumps = rates.T.reshape(9).dot(vectors)
+    # rho(0) = |e1><e1| is entry 4 of vec(rho)
+    amps = vectors[4]
+
+    times = np.array([*np.arange(2.0, t_max, 2.0), t_max])
+    mu_t = np.outer(times, values)
+    rho = (np.exp(mu_t) * amps).dot(vectors.T)
+    # int_0^t e^{mu s} ds = t * expm1(mu t) / (mu t), and t where mu = 0
+    exprel = np.divide(np.expm1(mu_t), mu_t,
+                       out=np.ones_like(mu_t), where=mu_t != 0.0)
+    rho[:, 0] += (times[:, None] * exprel * amps).dot(jumps)
+    rho = rho.reshape(times.size, 3, 3)
+
+    plus = np.exp(-0.5 * g_plus * times)
+    minus = np.exp(-0.5 * g_minus * times)
+    psi = 0.5 * np.stack([plus + minus, plus - minus], axis=1)
+    diff = rho[:, 1:, 1:] - psi[:, :, None] * psi[:, None, :]
+    distance = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    trace = np.trace(rho, axis1=1, axis2=2)
     return NoJumpReport(
         gamma_plus=g_plus,
         gamma_minus=g_minus,
-        max_trace_distance=worst,
+        max_trace_distance=float(np.max(distance)),
+        max_trace_error=float(np.max(np.abs(trace - 1.0))),
         t_max=t_max,
     )

@@ -434,10 +434,11 @@ class TestSubprocessEntryPoints:
         # The pytest process has imported scipy already, so the import
         # check runs in a fresh interpreter on the same sources.
         child = """
+import math
 import sys
 
 import dotwire
-from dotwire import cli
+from dotwire import cli, lattice
 
 runs = [
     ["spectrum", "--n-points", "3"],
@@ -447,6 +448,7 @@ runs = [
 ]
 for argv in runs:
     assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
+assert lattice.no_jump_equivalence(0.5 * math.pi, 0.05).max_trace_distance < 1e-8
 print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
                if name in sys.modules))
 assert cli.main(["--out", sys.argv[1] + "/storage", "storage",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dotwire import lattice
 from dotwire.errors import GridTooCoarse, NotConverged
 from dotwire.lattice import (
     LatticeSystem,
@@ -84,6 +85,37 @@ class TestBuildHamiltonian:
         expected = np.zeros_like(dense)
         expected[-2, -2] = expected[-1, -1] = -1j * 0.05
         assert np.allclose(anti, expected, atol=1e-15)
+
+
+class TestSpectralInterval:
+    @pytest.mark.parametrize(
+        "grid,params",
+        [
+            (uniform_mode_grid(3.0, 0.1), ModelParams(kd=0.8, delta=0.2)),
+            (uniform_mode_grid(3.0, 0.1),
+             ModelParams(kd=0.8, delta=0.2, gamma_nr=0.05)),
+            (uniform_mode_grid(3.0, 0.1),
+             ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
+                         k0d=0.8, include_superradiance=True)),
+            (uniform_mode_grid(2.0, 0.05), ModelParams(kd=PI, delta=-0.3)),
+            (uniform_mode_grid(2.0, 0.05),
+             ModelParams(kd=2 * PI, delta=1.1, gamma_nr=0.05)),
+            (make_mode_grid(-0.5), ModelParams(kd=PI / 4, delta=-0.5)),
+        ],
+        ids=["lossless", "lossy", "collective", "kd=pi", "kd=2pi lossy",
+             "mode grid"],
+    )
+    def test_encloses_the_hermitian_part_tightly(self, grid, params):
+        system = build_hamiltonian(grid, params, line_check=False)
+        dense = system.to_dense()
+        eigs = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+        lo, hi = system.spectral_interval
+        assert lo <= eigs[0] and eigs[-1] <= hi
+        scale = float(np.max(np.abs(eigs)))
+        assert eigs[0] - lo <= 1e-6 * scale
+        assert hi - eigs[-1] <= 1e-6 * scale
+        # computed once per system
+        assert system.spectral_interval is system.spectral_interval
 
 
 class TestEvolve:
@@ -224,6 +256,12 @@ class TestScatteringOracle:
         result = scattering_oracle(ModelParams(kd=PI / 4, delta=-0.5))
         assert result.n_steps <= 2242
 
+    def test_series_sized_by_the_hermitian_spectrum(self):
+        # 1197 applications of H measured at the quick point with the
+        # exact Hermitian-part interval, plus 10%
+        result = scattering_oracle(ModelParams(kd=PI / 4, delta=-0.5))
+        assert result.n_steps <= 1317
+
     def test_unresolved_packet_raises(self):
         with pytest.raises(GridTooCoarse):
             scattering_oracle(
@@ -277,9 +315,49 @@ class TestNoJumpEquivalence:
     def test_conditional_evolution_matches_nonhermitian(self):
         report = no_jump_equivalence(PI / 2, 0.025)
         assert report.max_trace_distance <= 1e-8
+        assert report.max_trace_error <= 1e-12
         assert report.gamma_plus + report.gamma_minus == 0.05
 
     def test_dicke_point(self):
         report = no_jump_equivalence(1e-12, 0.025, t_max=100.0)
         assert report.max_trace_distance <= 1e-8
+        assert report.max_trace_error <= 1e-12
         assert report.gamma_minus == pytest.approx(0.0, abs=1e-24)
+
+    def test_equal_rates_at_pi(self):
+        # gamma_+ = gamma_- here, so the Liouvillian's rates coincide
+        report = no_jump_equivalence(PI, 0.05)
+        assert report.max_trace_distance <= 1e-8
+        assert report.max_trace_error <= 1e-12
+
+    def test_wrong_collective_rates_fail_the_gate(self, monkeypatch):
+        # route (i) builds its rates from Gamma alone, so rates that are not
+        # its eigen-rates must fail criterion 08's 1e-8 gate
+        right = gamma_pm(PI / 4, 0.05)
+        monkeypatch.setattr(lattice, "gamma_pm",
+                            lambda k0d, gamma0: right[::-1])
+        assert no_jump_equivalence(PI / 4, 0.05).max_trace_distance > 1e-3
+        monkeypatch.setattr(lattice, "gamma_pm",
+                            lambda k0d, gamma0: (right[0] * (1 + 1e-6),
+                                                 right[1]))
+        assert no_jump_equivalence(PI / 4, 0.05).max_trace_distance > 1e-8
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("k0d", {"k0d": math.nan}),
+            ("k0d", {"k0d": math.inf}),
+            ("gamma0", {"gamma0": math.nan}),
+            ("t_max", {"t_max": math.nan}),
+            ("t_max", {"t_max": -math.inf}),
+        ],
+    )
+    def test_non_finite_input_rejected(self, name, kwargs):
+        args = {"k0d": PI / 2, "gamma0": 0.05, **kwargs}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            no_jump_equivalence(**args)
+
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0])
+    def test_non_positive_t_max_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be > 0"):
+            no_jump_equivalence(PI / 2, 0.05, t_max=t_max)
