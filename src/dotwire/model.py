@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import SingularSystem
 
 __all__ = [
@@ -41,6 +39,7 @@ G_COUPLING = 0.5  # g = sqrt(GAMMA_PL * V_G) / 2
 
 _DET_FLOOR = 1e-14
 _SINC_SERIES_CUTOFF = 1e-8
+_RESIDUE_FLOOR = math.ulp(1.0)  # relative to GAMMA_PL, the residue sum
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
     """
     e, w = _phase_and_coupling(params)
     big_delta = params.delta + 0.5j * (params.gamma_prime + GAMMA_PL)
-    det = _determinant(w, big_delta)
+    # the factored form avoids cancellation near the singular set
+    det = (w - big_delta) * (w + big_delta)
     if abs(det) < _DET_FLOOR:
         raise SingularSystem(
             f"2x2 amplitude system is singular (|det|={abs(det):.3e}) at "
@@ -170,25 +170,26 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
                               residual=residual)
 
 
-def _reflection_scan(
-    params: ModelParams, deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection amplitude r over an array of detunings, in one pass.
+def _reflection_poles(params: ModelParams) -> list[tuple[complex, complex]]:
+    """r as a sum of simple poles in the detuning: the (c, z) pairs of
 
-    Runs the closed form of solve_two_dot on numpy arrays (params.delta is
-    overridden by each entry of deltas) and returns (r, singular), where
-    singular marks the cells at which solve_two_dot raises SingularSystem;
-    r is meaningless there. Numpy's complex arithmetic may differ from
-    CPython's in the last bit, so this is for scans, not for tables.
+        r(delta) = sum of c / (delta - z),
+
+    the closed form of solve_two_dot rewritten as
+    r = g^2 * [(1+e)^2 / (w+Delta) - (1-e)^2 / (w-Delta)] / (i*V_G).
+    The two residues sum to GAMMA_PL in modulus. At kd = n*pi one of them
+    vanishes, and its pole, on the real axis when lossless, is a removable
+    singularity of r that solve_two_dot reports as SingularSystem; a term
+    whose residue is below rounding is left out, which cancels that factor.
     """
     e, w = _phase_and_coupling(params)
-    big_delta = deltas + 0.5j * (params.gamma_prime + GAMMA_PL)
-    det = _determinant(w, big_delta)
-    singular = np.abs(det) < _DET_FLOOR
-    _, r, _, _, _, _ = _back_substitute(
-        e, w, big_delta, np.where(singular, 1.0, det)
+    half_width = 0.5j * (params.gamma_prime + GAMMA_PL)
+    scale = G_COUPLING**2 / (1j * V_G)
+    terms = (
+        (scale * (1 + e) ** 2, -w - half_width),
+        (scale * (1 - e) ** 2, w - half_width),
     )
-    return r, singular
+    return [(c, z) for c, z in terms if abs(c) > _RESIDUE_FLOOR * GAMMA_PL]
 
 
 def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
@@ -202,16 +203,8 @@ def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
     return e, 0.5j * GAMMA_PL * e + s_sr
 
 
-def _determinant(w, big_delta):
-    """det of the 2x2 system; the factored form avoids cancellation near
-    the singular set. Arithmetic operators only, so big_delta may be a
-    complex scalar or a numpy array."""
-    return (w - big_delta) * (w + big_delta)
-
-
 def _back_substitute(e, w, big_delta, det):
-    """(t, r, a, b, xi1, xi2) from the 2x2 system with determinant det.
-    Arithmetic operators only, like _determinant."""
+    """(t, r, a, b, xi1, xi2) from the 2x2 system with determinant det."""
     g = G_COUPLING
     xi1 = 2 * g * (e * w - big_delta) / det
     xi2 = 2 * g * (w - e * big_delta) / det

@@ -1,14 +1,17 @@
 """Spectral sweeps and feature location for the two-emitter response.
 
-Locates reflection peaks (coarse scan + bounded refinement, robust to the
-Fano-like zeros sitting next to narrow subradiant peaks) and the
-resonant-tunneling reflection minimum, whose stationarity condition in
-modulus form reads
+Both features are found in closed form. The reflection amplitude is a sum
+of two simple poles in the detuning (model._reflection_poles), so
+R = |r|^2 is a ratio of real polynomials and its stationary points are the
+real roots of a polynomial of degree at most 5; the reflection peak is the
+one of them with the largest R. The resonant-tunneling reflection minimum
+satisfies, in modulus form,
 
     tan^2(kd) = 4*delta_min^2 + gamma_prime^2      (rates in GAMMA_PL units)
 
-With loss the condition marks the tunneling stationarity point rather than
-an exact zero of R; exact zeros exist only at gamma_prime = 0.
+on the side delta_min * tan(kd) < 0. With loss the condition marks the
+tunneling stationarity point rather than an exact zero of R; exact zeros
+exist only at gamma_prime = 0.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
-from .model import ModelParams, _reflection_scan, solve_two_dot
+from .model import ModelParams, _reflection_poles, solve_two_dot
 
 __all__ = [
     "SpectrumRow",
     "PeakRecord",
-    "REFINE_TOL",
     "sweep_detuning",
     "reflection_peak",
     "peak_position_curve",
@@ -34,26 +36,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-REFINE_TOL = 1e-8
 _POLE_EXCLUSION = 1e-3  # kd closer than this to an odd pi/2 is skipped
-_FD_STEP = 1e-6  # central-difference step for the stationarity polish
-
-
-# scipy.optimize takes a few tenths of a second to import and only peak
-# refinement and the tunneling minimum need it, so these two names import
-# it on first call; they stay module attributes so tests can patch them.
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call."""
-    from scipy.optimize import brentq
-
-    return brentq(*args, **kwargs)
-
-
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on first call."""
-    from scipy.optimize import minimize_scalar
-
-    return minimize_scalar(*args, **kwargs)
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -99,72 +83,80 @@ def sweep_detuning(
     return rows
 
 
-def _reflection(params: ModelParams, delta: float) -> float:
-    """R(delta), with the measure-zero singular set mapped to -inf so that
-    scans and maximizers simply step around it."""
+def _reflection(
+    params: ModelParams, poles: list[tuple[complex, complex]], delta: float
+) -> float:
+    """R(delta) from solve_two_dot; at a removable singularity of r, where
+    the solve raises SingularSystem, from the partial fractions, which have
+    that factor cancelled."""
     try:
         return solve_two_dot(params.at_delta(delta)).R
     except SingularSystem:
-        return -math.inf
+        return abs(sum(c / (delta - z) for c, z in poles)) ** 2
 
 
-def _polish_peak(params: ModelParams, x: float) -> float:
-    """Sharpen a bounded-search maximum by root-finding the central-difference
-    slope of R. Value-only search stalls at ~sqrt(eps) from a quadratic
-    maximum; the slope root is reproducible to ~1e-10. Falls back to x when
-    no slope sign change brackets it (flat-top maxima, singular neighbors).
-    """
-    h = _FD_STEP
-
-    def slope(d: float) -> float:
-        return _reflection(params, d + h) - _reflection(params, d - h)
-
-    g_lo, g_hi = slope(x - h), slope(x + h)
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo * g_hi > 0:
-        return x
-    return float(brentq(slope, x - h, x + h, xtol=1e-12))
+def _modulus_squared(p: np.ndarray) -> np.ndarray:
+    """|p(x)|^2 for real x, as a polynomial with real coefficients (numpy
+    polyval order: highest power first)."""
+    return np.convolve(p, np.conj(p)).real
 
 
 def reflection_peak(
     params: ModelParams,
     bracket: tuple[float, float] = (-3.0, 3.0),
-    n_scan: int = 2001,
 ) -> PeakRecord:
-    """Locate the maximum of R(delta) inside the bracket.
+    """Locate the maximum of R(delta) inside the bracket, in closed form.
 
-    R(delta) can be multi-modal (a reflection zero adjacent to a narrow
-    subradiant peak), so the argmax is first bracketed by a uniform coarse
-    scan (the closed form evaluated on the whole grid in one numpy pass),
-    refined by bounded search, then polished via the stationarity slope,
-    both on the scalar solver; quadratic maxima are localized well inside
-    1e-8. Lossless maxima are quartically flat (1 - R ~ 0.1 * delta^4), so
-    their returned position is anywhere on the machine-precision plateau
-    (|delta| < ~5e-4) — the peak value is still exact. A coarse argmax on
-    the bracket edge means R is monotone there: NoPeakInBracket.
+    r is summed from its poles into one fraction num/den, so that
+    R = |num|^2 / |den|^2 and the stationary points of R are the roots of
+    the real polynomial |num|^2' |den|^2 - |num|^2 |den|^2' (degree <= 5).
+    Its roots are polished by Newton steps, and the real part of each root
+    inside the bracket is a candidate; the interior maximum is among them.
+    The candidate with the largest R (from solve_two_dot) is the peak.
+    R(delta) can be multi-modal (a reflection zero next to a narrow
+    subradiant peak); every stationary point is a candidate, so the highest
+    maximum is found. Quadratic maxima are located to about 1e-10. Lossless
+    maxima are quartically flat (1 - R ~ 0.1 * delta^4), so their returned
+    position is anywhere on the machine-precision plateau (|delta| < ~5e-4)
+    — the peak value is still exact. When no candidate has a larger R than
+    both bracket edges, R has no interior maximum above its edge values
+    there: NoPeakInBracket.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-    grid = np.linspace(lo, hi, n_scan)
-    r, singular = _reflection_scan(params, grid)
-    values = np.where(singular, -math.inf, np.abs(r) ** 2)
-    idx = int(np.argmax(values))
-    if idx == 0 or idx == n_scan - 1:
+    poles = _reflection_poles(params)
+    # num/den + c/(delta - z); num keeps a zero leading coefficient, so
+    # the two stay of equal length and no derivative below is empty
+    num, den = np.zeros(1, complex), np.ones(1, complex)
+    for c, z in poles:
+        factor = [1.0, -z]
+        num = np.convolve(num, factor) + c * np.concatenate(([0.0], den))
+        den = np.convolve(den, factor)
+    power_num, power_den = _modulus_squared(num), _modulus_squared(den)
+    slope = (np.convolve(np.polyder(power_num), power_den)
+             - np.convolve(power_num, np.polyder(power_den)))
+    roots, d_slope = np.roots(slope), np.polyder(slope)
+    for _ in range(_NEWTON_STEPS):
+        # d_slope vanishes exactly only at an exact multiple root: stay put
+        d = np.polyval(d_slope, roots)
+        roots = roots - np.divide(np.polyval(slope, roots), d,
+                                  out=np.zeros_like(roots), where=d != 0)
+    candidates = [
+        (_reflection(params, poles, x), x)
+        for x in map(float, roots.real) if lo < x < hi
+    ]
+    R_peak, delta_peak = max(candidates, default=(-math.inf, None))
+    if R_peak <= max(_reflection(params, poles, lo),
+                     _reflection(params, poles, hi)):
         raise NoPeakInBracket(
-            f"R(delta) is monotone on [{lo}, {hi}] for kd={params.kd} "
-            f"(coarse argmax on the bracket edge)"
+            f"R(delta) has no interior maximum above its edge values on "
+            f"[{lo}, {hi}] for kd={params.kd}"
         )
-    res = minimize_scalar(
-        lambda d: -_reflection(params, float(d)),
-        bounds=(float(grid[idx - 1]), float(grid[idx + 1])),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    delta_peak = _polish_peak(params, float(res.x))
     return PeakRecord(
         kd=params.kd,
         delta_peak=delta_peak,
-        R_peak=_reflection(params, delta_peak),
+        R_peak=R_peak,
         with_sr=params.include_superradiance,
     )
 
@@ -212,43 +204,35 @@ def peak_position_curve(
 
 def reflection_minimum(
     params: ModelParams,
-    bracket: tuple[float, float] | None = None,
+    bracket: tuple[float, float] = (-3.0, 3.0),
 ) -> tuple[float, float, float]:
     """Locate the resonant-tunneling minimum of R(delta) (modulus form).
 
-    Finds the root of h(delta) = 4*delta^2 + gamma_prime^2 - tan^2(kd)
-    inside the bracket (default: the side where the tunneling minimum lies,
-    (-3, 0) for tan(kd) > 0, (0, 3) otherwise) and returns
+    Takes the root of h(delta) = 4*delta^2 + gamma_prime^2 - tan^2(kd) on
+    the side opposite to the sign of tan(kd),
+
+        delta_min = -sign(tan(kd)) * sqrt(tan^2(kd) - gamma_prime^2) / 2,
+
+    and returns
 
         (delta_min, R(delta_min), |h(delta_min)|)
 
     At gamma_prime = 0 the point is an exact reflection zero (R <= 1e-12);
     with loss R stays positive there. NoMinimumInBracket is raised when the
-    condition has no root in the bracket (tan^2(kd) <= gamma_prime^2, or the
-    root lies outside).
+    condition has no root (tan^2(kd) < gamma_prime^2) or the root lies
+    outside the bracket.
     """
-    gp = params.gamma_prime
-    tan = math.tan(params.kd)
-    if bracket is None:
-        bracket = (-3.0, 0.0) if tan > 0 else (0.0, 3.0)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-
-    def h(delta: float) -> float:
-        return 4.0 * delta * delta + gp * gp - tan * tan
-
-    h_lo, h_hi = h(lo), h(hi)
-    if h_lo == 0.0:
-        delta_min = lo
-    elif h_hi == 0.0:
-        delta_min = hi
-    elif h_lo * h_hi > 0:
+    gp = params.gamma_prime
+    tan = math.tan(params.kd)
+    disc = tan * tan - gp * gp
+    delta_min = -math.copysign(0.5 * math.sqrt(max(disc, 0.0)), tan)
+    if disc < 0 or not lo <= delta_min <= hi:
         raise NoMinimumInBracket(
             f"no tunneling minimum in [{lo}, {hi}] for kd={params.kd}, "
             f"gamma_prime={gp} (tan^2={tan * tan:.3e}, gp^2={gp * gp:.3e})"
         )
-    else:
-        delta_min = float(brentq(h, lo, hi, xtol=1e-13, rtol=1e-15))
     sol = solve_two_dot(params.at_delta(delta_min))
-    return delta_min, sol.R, abs(h(delta_min))
+    return delta_min, sol.R, abs(4.0 * delta_min**2 + gp * gp - tan * tan)

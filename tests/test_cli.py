@@ -438,28 +438,33 @@ import math
 import sys
 
 import dotwire
-from dotwire import cli, lattice
+from dotwire import cli, lattice, spectra
+from dotwire.model import ModelParams
 
 runs = [
     ["spectrum", "--n-points", "3"],
+    ["peaks"],
     ["concurrence-map", "--n-kd", "3", "--n-delta", "3"],
     ["phase", "--n-points", "3"],
     ["oracle-verify", "--quick"],
 ]
 for argv in runs:
     assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
+assert spectra.reflection_minimum(ModelParams(kd=math.pi / 4))[1] < 1e-12
 assert lattice.no_jump_equivalence(0.5 * math.pi, 0.05).max_trace_distance < 1e-8
 print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
                if name in sys.modules))
 assert cli.main(["--out", sys.argv[1] + "/storage", "storage",
                  "--pulse-ratio", "5"]) == 0
-print("scipy.optimize" in sys.modules)
+print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
+               if name in sys.modules))
 """
         proc = _child("-c", child, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         closed_form, after_storage = proc.stdout.split("\n")[:2]
         assert closed_form == ""
-        assert after_storage == "False"
+        assert after_storage == "scipy.linalg"
+        assert (tmp_path / "peaks" / "peaks.csv").is_file()
         assert (tmp_path / "storage" / "storage.csv").is_file()
 
     def test_quick_verification_passes_then_fails_tolerance(self):

@@ -12,7 +12,7 @@ from dotwire.errors import SingularSystem
 from dotwire.model import (
     GAMMA_PL,
     ModelParams,
-    _reflection_scan,
+    _reflection_poles,
     relation_residual,
     solve_single_dot,
     solve_two_dot,
@@ -206,35 +206,29 @@ class TestSingleDot:
             solve_single_dot(0.05, math.inf)
 
 
-class TestReflectionScan:
-    """The array path of the closed form against the scalar solve."""
+class TestReflectionPoles:
+    """The partial fractions of r against the scalar solve."""
 
     @pytest.mark.parametrize("with_sr", [False, True])
     def test_matches_scalar_solve(self, with_sr):
-        params = ModelParams(kd=math.pi / 4, gamma0=0.025, gamma_nr=0.025,
-                             include_superradiance=with_sr)
-        deltas = np.linspace(-2.0, 2.0, 41)
-        r, singular = _reflection_scan(params, deltas)
-        assert not singular.any()
-        for delta, r_scan in zip(deltas, r):
-            sol = solve_two_dot(params.at_delta(float(delta)))
-            assert abs(abs(r_scan) ** 2 - sol.R) <= 1e-15
+        for kd in (math.pi / 4, 2.0, math.pi + 1e-3):
+            params = ModelParams(kd=kd, gamma0=0.025, gamma_nr=0.025,
+                                 include_superradiance=with_sr)
+            poles = _reflection_poles(params)
+            assert len(poles) == 2
+            for delta in np.linspace(-2.0, 2.0, 41):
+                r = sum(c / (delta - z) for c, z in poles)
+                sol = solve_two_dot(params.at_delta(float(delta)))
+                assert abs(r - sol.r) <= 1e-14
 
-    def test_singular_mask_is_where_the_solve_raises(self):
-        # lossless kd = 2*pi is singular at delta = 0, a default grid point
+    def test_removable_singularity_is_cancelled(self):
+        # lossless kd = 2*pi: the solve is singular at delta = 0, where the
+        # one pole left gives perfect reflection
         params = ModelParams(kd=2 * math.pi)
-        deltas = np.linspace(-3.0, 3.0, 2001)
-        _, singular = _reflection_scan(params, deltas)
-        raised = []
-        for delta in deltas:
-            try:
-                solve_two_dot(params.at_delta(float(delta)))
-            except SingularSystem:
-                raised.append(True)
-            else:
-                raised.append(False)
-        assert singular.tolist() == raised
-        assert np.flatnonzero(singular).tolist() == [1000]
+        with pytest.raises(SingularSystem):
+            solve_two_dot(params)
+        (c, z), = _reflection_poles(params)
+        assert abs(c / (0.0 - z)) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 class TestProbabilities:

@@ -7,12 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from dotwire import spectra
+from dotwire.config import OPTIONS
 from dotwire.errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from dotwire.model import ModelParams, solve_two_dot
 from dotwire.spectra import (
-    REFINE_TOL,
-    _reflection,
     peak_position_curve,
     reflection_minimum,
     reflection_peak,
@@ -90,42 +88,28 @@ class TestReflectionPeak:
             assert rec.R_peak > 1.0 - 1e-12
 
     def test_survives_singular_grid_point(self):
-        # lossless kd = 2*pi has a singular point at delta = 0 exactly on the
-        # default coarse grid; the peak search must step around it
-        rec = reflection_peak(ModelParams(kd=2 * PI))
-        assert abs(rec.delta_peak) < 1e-6
-        assert rec.R_peak > 1.0 - 1e-6
+        # lossless kd = n*pi: r has a removable singularity at delta = 0,
+        # where solve_two_dot raises SingularSystem, and the peak is there
+        for kd in (PI, 2 * PI, 3 * PI):
+            rec = reflection_peak(ModelParams(kd=kd))
+            assert abs(rec.delta_peak) < 1e-6
+            assert rec.R_peak > 1.0 - 1e-6
 
-    @pytest.mark.parametrize("params", [
-        lossy_params(PI / 4, with_sr=False),
-        lossy_params(PI / 4, with_sr=True),
-        ModelParams(kd=2 * PI),
-    ], ids=["anchor", "anchor-sr", "2pi-lossless"])
-    def test_coarse_argmax_matches_scalar_scan(self, params, monkeypatch):
-        # the refinement bracket is the coarse argmax and its two neighbours
-        brackets = []
-
-        def recording_minimize(fun, bounds, **kwargs):
-            brackets.append(bounds)
-            return minimize_scalar(fun, bounds=bounds, **kwargs)
-
-        minimize_scalar = spectra.minimize_scalar
-        monkeypatch.setattr(spectra, "minimize_scalar", recording_minimize)
-        reflection_peak(params)
-        grid = np.linspace(-3.0, 3.0, 2001)
-        values = np.array([_reflection(params, float(d)) for d in grid])
+    @pytest.mark.parametrize("with_sr", [False, True],
+                             ids=["anchor", "anchor-sr"])
+    def test_agrees_with_dense_scan(self, with_sr):
+        params = lossy_params(PI / 4, with_sr=with_sr)
+        rec = reflection_peak(params)
+        grid = np.linspace(-3.0, 3.0, 6001)
+        values = [solve_two_dot(params.at_delta(float(d))).R for d in grid]
         idx = int(np.argmax(values))
-        assert brackets == [(grid[idx - 1], grid[idx + 1])]
+        assert abs(rec.delta_peak - grid[idx]) <= grid[1] - grid[0]
+        assert values[idx] <= rec.R_peak
+        assert rec.R_peak == solve_two_dot(params.at_delta(rec.delta_peak)).R
 
     def test_monotone_flank_raises(self):
         with pytest.raises(NoPeakInBracket):
             reflection_peak(lossy_params(PI / 4), bracket=(1.0, 3.0))
-
-    def test_refinement_is_scan_stable(self):
-        params = lossy_params(PI / 4, with_sr=True)
-        coarse = reflection_peak(params, n_scan=2001)
-        fine = reflection_peak(params, n_scan=20001)
-        assert abs(coarse.delta_peak - fine.delta_peak) <= 2 * REFINE_TOL
 
     def test_loss_monotonically_suppresses_peak(self):
         peaks = []
@@ -157,6 +141,16 @@ class TestPeakPositionCurve:
             if a.kd == b.kd
         ]
         assert max(shifts) > 1e-3
+
+    def test_default_peaks_grid_yields_every_record(self):
+        p = {option.key: option.default for option in OPTIONS["peaks"]}
+        kd_values = np.linspace(p["kd_min"], p["kd_max"], p["n_kd"])
+        base = ModelParams(kd=1.0, gamma0=p["gamma0"],
+                           gamma_nr=p["gamma_nr"])
+        without, with_sr = peak_position_curve(
+            kd_values, base, bracket=(p["bracket_lo"], p["bracket_hi"])
+        )
+        assert len(without) == len(with_sr) == p["n_kd"] == 46
 
 
 class TestReflectionMinimum:
@@ -194,6 +188,17 @@ class TestReflectionMinimum:
     def test_near_pole_pushes_root_out_of_bracket(self):
         with pytest.raises(NoMinimumInBracket):
             reflection_minimum(ModelParams(kd=PI / 2))
+
+    def test_sign_comes_from_the_tangent_not_the_bracket(self):
+        # the zero at kd = pi/4 is at delta = -1/2; a bracket holding both
+        # sides finds it, and one holding only the other side has none
+        delta_min, r_min, _ = reflection_minimum(
+            ModelParams(kd=PI / 4), bracket=(-3.0, 3.0)
+        )
+        assert delta_min == pytest.approx(-0.5, abs=1e-12)
+        assert r_min <= 1e-12
+        with pytest.raises(NoMinimumInBracket):
+            reflection_minimum(ModelParams(kd=PI / 4), bracket=(0.0, 3.0))
 
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
