@@ -219,8 +219,10 @@ def reflection_minimum(
 
     At gamma_prime = 0 the point is an exact reflection zero (R <= 1e-12);
     with loss R stays positive there. NoMinimumInBracket is raised when the
-    condition has no root (tan^2(kd) < gamma_prime^2) or the root lies
-    outside the bracket.
+    condition has no root (tan^2(kd) < gamma_prime^2), when the root lies
+    outside the bracket, or when it degenerates: lossless at kd = n*pi the
+    root delta_min ~ 1e-16 falls on the removable singularity of r, where
+    R = 1.
     """
     lo, hi = bracket
     if not lo < hi:
@@ -234,5 +236,12 @@ def reflection_minimum(
             f"no tunneling minimum in [{lo}, {hi}] for kd={params.kd}, "
             f"gamma_prime={gp} (tan^2={tan * tan:.3e}, gp^2={gp * gp:.3e})"
         )
-    sol = solve_two_dot(params.at_delta(delta_min))
+    try:
+        sol = solve_two_dot(params.at_delta(delta_min))
+    except SingularSystem as exc:
+        raise NoMinimumInBracket(
+            f"tunneling condition degenerates at kd={params.kd}, "
+            f"gamma_prime={gp}: its root {delta_min:.3e} is the removable "
+            f"singularity of r, a reflection peak"
+        ) from exc
     return delta_min, sol.R, abs(4.0 * delta_min**2 + gp * gp - tan * tan)

@@ -29,6 +29,10 @@ which the parity sign does not appear: both parities give the same result,
 bit for bit. It steps with a second-order splitting of exact pieces, the
 mode phases and the emitter-control kick (McLachlan & Quispel, Acta
 Numerica 11, 341 (2002)), one step per interval of the control grid.
+The emitters see the modes only through one scalar per step, so the run
+is evaluated through the memory kernel of the bath: the loop over steps
+carries scalars and a closed-form kick, and the sums over the modes are
+chirp-z transforms done with numpy FFTs (see _run_lattice).
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.linalg is imported inside the functions that step, so that the
-# closed-form commands, which import this module, load numpy alone.
 
 from .errors import (
     BandwidthTooWide,
@@ -68,9 +70,9 @@ _CM_FLOOR = 1e-12
 # the control is sampled at 0.09 / half_width, which fixes the matched
 # design and so the frozen efficiency anchors
 _CONTROL_DT = 0.09
-# kick propagators are formed this many steps at a time: a stack for the
-# whole run would raise the peak memory of a long run
-_KICK_BLOCK = 512
+# the memory of a block of this many steps reaches the later steps through
+# one FFT convolution; inside a block it is summed directly
+_BLOCK = 512
 _PEAK_SIGMAS = 5.0
 _SPAN_SIGMAS = 11.0
 # a step may turn the emitter-control kick block by at most this many
@@ -252,50 +254,46 @@ def _check_step(dt: float, generators: np.ndarray, what: str) -> None:
         )
 
 
-def _split(
-    modes: np.ndarray,
-    amps: np.ndarray,
-    q: np.ndarray,
-    steps,
-    phase_first: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-phase splitting of the storage lattice.
+def _chirp_sum(a: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """sum_k a[k] * exp(-i*theta*k*j) for j = 0..m-1.
 
-    The modes are first multiplied by phase_first; then each (kick, phase)
-    pair from steps applies the kick to the coefficients of the modes on the
-    k orthonormal columns of q followed by the amplitudes, and multiplies
-    the modes by phase. A kick is expm(-i*h*G) minus the identity on the k
-    span rows, so those rows give the change of the span coefficients,
-    which is added back one column of q at a time (one zaxpy per column is
-    cheaper than a matrix-vector product with so few columns).
-    NotConverged if the norm of modes and amplitudes grows by more than
-    1e-9 relative, which the lossy storage lattice cannot do.
+    One Bluestein chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans.
+    Audio Electroacoust. 17, 86 (1969)): k*j = (k^2 + j^2 - (j - k)^2) / 2
+    turns the sum into a convolution, done with numpy FFTs.
     """
-    from scipy.linalg.blas import zaxpy
+    n = a.size
+    size = 1 << (n + m - 2).bit_length()
+    chirp = np.exp(-0.5j * theta * np.arange(max(n, m)) ** 2)
+    # conj(chirp) at lags 0..m-1, and at the negative lags 1-n..-1 wrapped
+    lags = np.zeros(size, dtype=complex)
+    lags[:m] = chirp[:m].conj()
+    lags[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(a * chirp[:n], size) * np.fft.fft(lags))
+    return chirp[:m] * conv[:m]
 
-    norm0 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
-    cols_adj = np.ascontiguousarray(q.T.conj(), dtype=complex)
-    cols = list(cols_adj.conj())
-    k = len(cols)
-    # coefficients of the modes on the columns of q, then the amplitudes
-    block = np.empty(k + amps.size, dtype=complex)
-    block[k:] = amps
-    modes = modes * phase_first
-    for kick, phase in steps:
-        block[:k] = cols_adj.dot(modes)
-        change = kick.dot(block)
-        for col, c in zip(cols, change):
-            modes = zaxpy(col, modes, a=c)
-        block[k:] = change[k:]
-        modes *= phase
-    amps = block[k:]
-    norm1 = float(np.sum(np.abs(modes) ** 2) + np.sum(np.abs(amps) ** 2))
-    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
-        raise NotConverged(
-            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
-            f"gains norm, which a lossless or lossy lattice cannot"
-        )
-    return modes, amps
+
+def _kicks(dt: float, a: float, gp: float, om: np.ndarray):
+    """Closed form of the kick expm(-i*dt*G) for each control value in om.
+
+    G = [[0, a, 0], [a, -i*gp/2, om], [0, conj(om), 0]] on (span, bright
+    excited, metastable) has the null vector v0 = (om, 0, -a)/r with
+    r = sqrt(a^2 + |om|^2). On u1 = (0, 1, 0) and u2 = (a, 0, conj(om))/r it
+    acts as M = [[-i*gp/2, r], [r, 0]], whose exponential is
+    X = exp(-dt*gp/4) * [cos(dt*mu) - i*sin(dt*mu)/mu * (M + i*gp/4)] with
+    mu = sqrt(r^2 - gp^2/16). So with kap = a/r, w = om/r, z = X22 - 1,
+    x11 = X11 and x12 = X12 = X21 the kick is
+    [[1 + kap^2 z, kap x12, kap w z], [kap x12, x11, w x12],
+     [kap conj(w) z, conj(w) x12, 1 + |w|^2 z]].
+    Returns the arrays (kap, w, z, x11, x12).
+    """
+    r = np.hypot(a, np.abs(om))
+    mu = np.sqrt(r * r - gp * gp / 16.0 + 0j)
+    decay = math.exp(-0.25 * dt * gp)
+    cos = decay * np.cos(dt * mu)
+    # decay * sin(dt*mu) / mu, finite at mu = 0
+    sin = decay * dt * np.sinc(dt * mu / math.pi)
+    return (a / r, om / r, cos + 0.25 * gp * sin - 1.0,
+            cos - 0.25 * gp * sin, -1j * r * sin)
 
 
 def _run_lattice(
@@ -310,23 +308,38 @@ def _run_lattice(
     Both branches obey the same equation from the same start, and the
     antisymmetric emitter and metastable pair is a closed subsystem that
     starts at zero, so the state is the symmetric branch combination
-    sqrt(2)*psi (coupled to the bright state through g = 2*kap), the bright
-    excited amplitude and the symmetric metastable amplitude. The parity
-    sign drops out. A step is the mode phase exp(-i*nu*dt/2), an exact kick
-    and the second half phase, run by _split. The kick acts on
-    span(g/|g|) and the two amplitudes, where it is the 3x3 generator
+    psi = sqrt(2)*psi_right (coupled to the bright state through g = 2*kap),
+    the bright excited amplitude and the symmetric metastable amplitude. The
+    parity sign drops out. A step is the mode phase exp(-i*nu*dt/2), an
+    exact kick and the second half phase. The kick acts on span(q), q =
+    g/|g|, and the two amplitudes, where it is the 3x3 generator
     G = [[0, |g|, 0], [|g|, -i*gp/2, om], [0, conj(om), 0]] with om the
-    midpoint average of omega over the interval; its expm is formed in
-    blocks of steps. omega is sampled only on the grid, so the control is
-    second-order accurate, and so is the step.
+    midpoint average of omega over the interval (closed form in _kicks).
+    omega is sampled only on the grid, so the control is second-order
+    accurate, and so is the step.
+
+    The splitting is evaluated through the memory kernel of the bath
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985)).
+    The emitters see the modes only through c_j = q^H psi before kick j,
+    and kick l adds delta_l * q to psi, so with N steps
+
+        c_j   = s_j + sum_{l<j} K(j - l) * delta_l
+        K(m)  = sum_k q_k^2 exp(-i*nu_k*m*dt)
+        s_j   = sum_k q_k exp(-i*nu_k*(j - 1/2)*dt) psi0_k
+        field = exp(-i*nu*N*dt) psi0
+                + q * sum_l exp(-i*nu*(N - l + 1/2)*dt) delta_l
+
+    On the uniform grid K, s and the field are chirp-z transforms. The loop
+    over steps carries only scalars: per block of _BLOCK steps one FFT
+    convolution adds the block's delta to every later c_j, and a dot adds
+    the memory inside the block.
 
     ValueError unless omega is finite and sampled on t_grid. StepTooLarge
     when dt * max ||G||_2 exceeds 0.25 rad (the control is too strong for
-    its sampling step), NotConverged if the norm grows, which the lossy
-    dynamics here cannot do.
+    its sampling step), NotConverged if the norm of field and amplitudes
+    grows by more than 1e-9 relative, which the lossy dynamics here cannot
+    do.
     """
-    from scipy.linalg import expm
-
     omega = np.asarray(omega)
     if omega.shape != t_grid.shape:
         raise ValueError(
@@ -336,10 +349,11 @@ def _run_lattice(
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite at every sample")
     grid = uniform_mode_grid(params.half_width, params.dk)
-    nu, w = grid.nu, grid.weights
+    nu = grid.nu
     # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
-    g = 2.0 * np.sqrt(0.5 * GAMMA_PL * w / (4.0 * math.pi))
+    g = 2.0 * np.sqrt(0.5 * GAMMA_PL * grid.weights / (4.0 * math.pi))
     g_norm = float(np.linalg.norm(g))
+    q = g / g_norm
     gp = params.gamma_prime
 
     if f_in is None:
@@ -362,29 +376,57 @@ def _run_lattice(
     _check_step(dt, generators(np.array([mag.min(), mag.max()])),
                 "the control is too strong for its sampling step")
 
+    # nu_k = nu_0 + k*dnu, as np.arange builds it
+    theta = float(nu[1] - nu[0]) * dt
+    origin = np.exp(-1j * dt * nu[0] * np.arange(n_steps + 1))
     half = np.exp(-0.5j * dt * nu)
-    full = half * half
-    # kick propagators minus the identity on the span row
-    span = np.diag([1.0, 0.0, 0.0])
+    psi0 = math.sqrt(2.0) * f_in
+    kernel = origin * _chirp_sum(q * q, theta, n_steps + 1)
+    coef = origin[:-1] * _chirp_sum(q * half * psi0, theta, n_steps)
 
-    def steps():
-        for first in range(0, n_steps, _KICK_BLOCK):
-            om = om_mid[first:first + _KICK_BLOCK]
-            kicks = expm(-1j * dt * generators(om)) - span
-            for i, kick in enumerate(kicks, first + 1):
-                yield kick, full if i < n_steps else half
-
+    block = min(_BLOCK, n_steps)
+    size = 1 << (n_steps + block - 2).bit_length()
+    kernel_f = np.fft.fft(kernel[:n_steps], size)
+    near = kernel[block:0:-1]  # near[u] = K(block - u)
+    delta = np.empty(n_steps, dtype=complex)
     # [bright excited, symmetric metastable]
-    amps = np.array([0.0, metastable0], dtype=complex)
-    field, amps = _split(math.sqrt(2.0) * f_in, amps, (g / g_norm)[:, None],
-                         steps(), half)
-    bright_e, bright_m = complex(amps[0]), complex(amps[1])
+    e, m = 0j, complex(metastable0)
+    for j0 in range(0, n_steps, block):
+        j1 = min(j0 + block, n_steps)
+        done = delta[j0:j1]
+        rows = zip(coef[j0:j1].tolist(), *(
+            x.tolist() for x in _kicks(dt, g_norm, gp, om_mid[j0:j1])
+        ))
+        for i, (c, kap, w, z, x11, x12) in enumerate(rows):
+            c += near[block - i:].dot(done[:i]).item()
+            # b is the u2 coordinate of (c, e, m) and h its change; the
+            # v0 coordinate does not change (see _kicks)
+            b = kap * c + w * m
+            h = z * b + x12 * e
+            done[i] = kap * h
+            e, m = x12 * b + x11 * e, m + w.conjugate() * h
+        if j1 < n_steps:
+            conv = np.fft.ifft(np.fft.fft(done, size) * kernel_f)
+            coef[j1:] += conv[j1 - j0:n_steps - j0]
+
+    # kick l lands before the phases exp(-i*nu*(N - l + 1/2)*dt)
+    field = np.exp(-1j * n_steps * dt * nu) * psi0 + q * half * _chirp_sum(
+        delta[::-1] * origin[:-1], theta, nu.size
+    )
+    norm0 = float(np.sum(np.abs(psi0) ** 2)) + abs(metastable0) ** 2
+    output_norm = float(np.sum(np.abs(field) ** 2))
+    norm1 = output_norm + abs(e) ** 2 + abs(m) ** 2
+    if not math.isfinite(norm1) or norm1 > norm0 * (1.0 + 1e-9):
+        raise NotConverged(
+            f"norm went from {norm0:.12f} to {norm1:.12f}; the generator "
+            f"gains norm, which a lossless or lossy lattice cannot"
+        )
     return StorageRun(
         t=t_grid,
-        bright_e=bright_e,
-        bright_m=bright_m,
-        efficiency=abs(bright_m) ** 2,
-        output_norm=float(np.sum(np.abs(field) ** 2)),
+        bright_e=e,
+        bright_m=m,
+        efficiency=abs(m) ** 2,
+        output_norm=output_norm,
         field=field,
         nu=nu,
         f_in=f_in,

@@ -203,3 +203,9 @@ class TestReflectionMinimum:
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             reflection_minimum(ModelParams(kd=PI / 4), bracket=(0.0, -3.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lossless_kd_n_pi_has_no_minimum(self, n):
+        # the root sits on the removable singularity, where R = 1
+        with pytest.raises(NoMinimumInBracket, match="degenerates"):
+            reflection_minimum(ModelParams(kd=n * PI))

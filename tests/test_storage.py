@@ -18,6 +18,8 @@ from dotwire.lattice import uniform_mode_grid
 from dotwire.model import GAMMA_PL, ModelParams, solve_two_dot
 from dotwire.storage import (
     StorageParams,
+    _chirp_sum,
+    _kicks,
     gaussian_input,
     impedance_matched_pulse,
     retrieve,
@@ -204,6 +206,92 @@ class TestReducedLattice:
         assert abs(run.bright_e - (x[-4] + s * x[-3]) / math.sqrt(2.0)) < 2e-5
         assert abs(run.bright_m - (x[-2] + x[-1]) / math.sqrt(2.0)) < 2e-5
         assert run.efficiency == abs(run.bright_m) ** 2
+
+
+def _stepwise_splitting(params, omega, f_in, metastable0=0.0):
+    """The storage splitting run step by step: half phase, a dense expm of
+    the 3x3 kick on (q^H psi, e, m), half phase."""
+    t = storage_time_grid(params)
+    grid = uniform_mode_grid(params.half_width, params.dk)
+    g = 2.0 * np.sqrt(0.5 * GAMMA_PL * grid.weights / (4.0 * math.pi))
+    a = float(np.linalg.norm(g))
+    q = g / a
+    dt = t[1] - t[0]
+    half = np.exp(-0.5j * dt * grid.nu)
+    psi = math.sqrt(2.0) * f_in
+    e, m = 0j, complex(metastable0)
+    for om in 0.5 * (omega[:-1] + omega[1:]):
+        psi = psi * half
+        gen = np.array([[0.0, a, 0.0],
+                        [a, -0.5j * params.gamma_prime, om],
+                        [0.0, np.conj(om), 0.0]])
+        c = q @ psi
+        kicked, e, m = expm(-1j * dt * gen) @ np.array([c, e, m])
+        psi = (psi + (kicked - c) * q) * half
+    return psi, e, m
+
+
+class TestMemoryKernelEngine:
+    @pytest.mark.parametrize("case", ["small-constant", "small-matched",
+                                      "default-matched", "short-constant"])
+    def test_matches_stepwise_splitting(self, case):
+        if case == "default-matched":
+            p = StorageParams(pulse_ratio=5.0)
+        elif case == "short-constant":
+            # fewer steps than one block of the memory sum
+            p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05,
+                              sigma_t=2.0)
+        else:
+            p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
+        t = storage_time_grid(p)
+        if case.endswith("constant"):
+            omega = np.full(t.shape, 0.1 + 0.2j)
+        else:
+            omega = impedance_matched_pulse(
+                p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
+            ).omega
+        run = simulate_storage(p, omega=omega)
+        field, e, m = _stepwise_splitting(p, omega, run.f_in)
+        assert abs(run.bright_e - e) < 1e-12
+        assert abs(run.bright_m - m) < 1e-12
+        assert np.max(np.abs(run.field - field)) < 1e-12
+
+    def test_retrieval_matches_stepwise_splitting(self):
+        p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
+        t = storage_time_grid(p)
+        omega = impedance_matched_pulse(
+            p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
+        ).omega[::-1].copy()
+        n = uniform_mode_grid(p.half_width, p.dk).nu.size
+        field, _, _ = _stepwise_splitting(p, omega, np.zeros(n), 0.9)
+        emitted = retrieve(p, 0.9, omega=omega).emitted_norm
+        assert abs(emitted - float(np.sum(np.abs(field) ** 2))) < 1e-12
+
+    def test_closed_form_kick_matches_expm(self):
+        rng = np.random.default_rng(7)
+        dt, a = 0.0225, 1.128
+        for gp in (*rng.uniform(0.0, 1.0, 6), 0.0, 1.0, -0.05):
+            om = rng.normal(size=8) * 3.0 + 1j * rng.normal(size=8) * 3.0
+            kap, w, z, x11, x12 = _kicks(dt, a, gp, om)
+            for i, o in enumerate(om):
+                kick = np.array([
+                    [1 + kap[i] ** 2 * z[i], kap[i] * x12[i],
+                     kap[i] * w[i] * z[i]],
+                    [kap[i] * x12[i], x11[i], w[i] * x12[i]],
+                    [kap[i] * np.conj(w[i]) * z[i], np.conj(w[i]) * x12[i],
+                     1 + abs(w[i]) ** 2 * z[i]],
+                ])
+                gen = np.array([[0.0, a, 0.0], [a, -0.5j * gp, o],
+                                [0.0, np.conj(o), 0.0]])
+                assert np.max(np.abs(kick - expm(-1j * dt * gen))) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", [(7, 5), (5, 9), (1, 4), (33, 1)])
+    def test_chirp_sum_matches_direct_sum(self, n, m):
+        rng = np.random.default_rng(n * m)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        theta = 0.37
+        direct = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ a
+        assert np.max(np.abs(_chirp_sum(a, theta, m) - direct)) < 1e-13
 
 
 class TestPopulationIdentity:
