@@ -17,6 +17,8 @@ Quick start::
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from .entanglement import (
     ConcurrenceCell,
     PhasePoint,
@@ -40,17 +42,6 @@ from .errors import (
     StepTooLarge,
     TangentPole,
 )
-from .lattice import (
-    ModeGrid,
-    NoJumpReport,
-    OracleResult,
-    WavepacketSpec,
-    gamma_pm,
-    make_mode_grid,
-    no_jump_equivalence,
-    scattering_oracle,
-    uniform_mode_grid,
-)
 from .model import (
     GAMMA_PL,
     G_COUPLING,
@@ -70,18 +61,47 @@ from .spectra import (
     reflection_peak,
     sweep_detuning,
 )
-from .storage import (
-    MatchedPulse,
-    RetrievalResult,
-    StorageParams,
-    StorageRun,
-    gaussian_input,
-    impedance_matched_pulse,
-    retrieve,
-    simulate_storage,
-    storage_time_grid,
-    verify_population_identity,
-)
+
+# lattice and storage load numpy; their names are imported on first use,
+# so that the closed-form path starts without it
+_LAZY = {
+    **dict.fromkeys((
+        "ModeGrid",
+        "NoJumpReport",
+        "OracleResult",
+        "WavepacketSpec",
+        "gamma_pm",
+        "make_mode_grid",
+        "no_jump_equivalence",
+        "scattering_oracle",
+        "uniform_mode_grid",
+    ), "lattice"),
+    **dict.fromkeys((
+        "MatchedPulse",
+        "RetrievalResult",
+        "StorageParams",
+        "StorageRun",
+        "gaussian_input",
+        "impedance_matched_pulse",
+        "retrieve",
+        "simulate_storage",
+        "storage_time_grid",
+        "verify_population_identity",
+    ), "storage"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

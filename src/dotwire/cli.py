@@ -37,8 +37,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import OPTIONS, Option, load_config
 from .entanglement import concurrence_map, phase_scan
@@ -55,10 +53,8 @@ from .errors import (
     StepTooLarge,
     TangentPole,
 )
-from .lattice import WavepacketSpec, scattering_oracle
 from .model import ModelParams, solve_single_dot, solve_two_dot
-from .spectra import peak_position_curve, sweep_detuning
-from .storage import StorageParams, simulate_storage
+from .spectra import _linspace, peak_position_curve, sweep_detuning
 
 __all__ = ["main"]
 
@@ -170,12 +166,24 @@ def _num(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _grid(p: dict, lo: str, hi: str, n: str, minimum: int = 1) -> list[float]:
+    """The uniform grid from option lo to option hi with option n points;
+    ValueError, naming the option, for a non-finite end or too few
+    points."""
+    for key in (lo, hi):
+        if not math.isfinite(p[key]):
+            raise ValueError(f"{key} must be finite, got {p[key]}")
+    if p[n] < minimum:
+        raise ValueError(f"{n} must be >= {minimum}, got {p[n]}")
+    return _linspace(p[lo], p[hi], p[n])
+
+
 def _cmd_spectrum(p: dict) -> CommandResult:
-    grid = (p["delta_min"], p["delta_max"], p["n_points"])
+    deltas = _grid(p, "delta_min", "delta_max", "n_points", minimum=2)
 
     def single_table() -> Table:
         rows = []
-        for delta in np.linspace(*grid):
+        for delta in deltas:
             sol = solve_single_dot(p["gamma_prime"], delta)
             rows.append([delta, sol.T, sol.R, sol.Loss])
         return Table(f"spectrum_single_gp{_num(p['gamma_prime'])}",
@@ -192,7 +200,9 @@ def _cmd_spectrum(p: dict) -> CommandResult:
                 params = ModelParams(kd=kd, gamma0=p["gamma0"], gamma_nr=gnr,
                                      include_superradiance=sr)
                 rows = [[row.delta, row.T, row.R, row.Loss]
-                        for row in sweep_detuning(params, *grid)]
+                        for row in sweep_detuning(params, p["delta_min"],
+                                                  p["delta_max"],
+                                                  p["n_points"])]
                 name = (f"spectrum_kd{_num(kd)}_gnr{_num(gnr)}"
                         f"_{'sr' if sr else 'nosr'}")
                 tables.append(Table(name, ["delta", "T", "R", "Loss"], rows))
@@ -201,7 +211,7 @@ def _cmd_spectrum(p: dict) -> CommandResult:
 
 
 def _cmd_peaks(p: dict) -> CommandResult:
-    kd_values = np.linspace(p["kd_min"], p["kd_max"], p["n_kd"])
+    kd_values = _grid(p, "kd_min", "kd_max", "n_kd")
     base = ModelParams(kd=1.0, gamma0=p["gamma0"], gamma_nr=p["gamma_nr"])
     without, with_sr = peak_position_curve(
         kd_values, base, bracket=(p["bracket_lo"], p["bracket_hi"])
@@ -215,8 +225,8 @@ def _cmd_peaks(p: dict) -> CommandResult:
 
 def _cmd_concurrence_map(p: dict) -> CommandResult:
     cells = concurrence_map(
-        np.linspace(p["kd_min"], p["kd_max"], p["n_kd"]),
-        np.linspace(p["delta_min"], p["delta_max"], p["n_delta"]),
+        _grid(p, "kd_min", "kd_max", "n_kd"),
+        _grid(p, "delta_min", "delta_max", "n_delta"),
         ModelParams(kd=1.0, gamma0=p["gamma0"], gamma_nr=p["gamma_nr"]),
     )
     rows = [[c.kd, c.delta, c.concurrence] for c in cells]
@@ -226,7 +236,7 @@ def _cmd_concurrence_map(p: dict) -> CommandResult:
 
 
 def _cmd_phase(p: dict) -> CommandResult:
-    deltas = np.linspace(p["delta_min"], p["delta_max"], p["n_points"])
+    deltas = _grid(p, "delta_min", "delta_max", "n_points")
     rows: list[list] = []
     for gp in p["gamma_prime"]:
         for pt in phase_scan(deltas, gp, kd_policy=p["kd_policy"]):
@@ -259,7 +269,9 @@ def _oracle_points(mode: str) -> list[tuple[float, float, float, bool]]:
 
 
 def _cmd_oracle_verify(p: dict) -> CommandResult:
-    packet = WavepacketSpec(sigma_k=p["sigma_k"])
+    from . import lattice  # loads numpy; only this command needs it
+
+    packet = lattice.WavepacketSpec(sigma_k=p["sigma_k"])
     tolerance = p["tolerance"]
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
@@ -280,7 +292,7 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
             "with_sr": with_sr,
         }
         try:
-            oracle = scattering_oracle(params, packet)
+            oracle = lattice.scattering_oracle(params, packet)
         except NotConverged as exc:
             # An unsettled point is reported as a failing row rather than
             # aborting the rest of the matrix.
@@ -337,10 +349,12 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
 
 
 def _cmd_storage(p: dict) -> CommandResult:
+    from . import storage  # loads numpy; only this command needs it
+
     def run(ratio: float) -> list:
-        result = simulate_storage(
-            StorageParams(pulse_ratio=ratio, parity=p["parity"],
-                          sigma_t=p["sigma_t"])
+        result = storage.simulate_storage(
+            storage.StorageParams(pulse_ratio=ratio, parity=p["parity"],
+                                  sigma_t=p["sigma_t"])
         )
         return [ratio, result.efficiency, 1.0 - 1.0 / ratio]
 
@@ -362,32 +376,43 @@ _COMMANDS = {
 }
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer, np.bool_)):
+def _integer_types() -> tuple[type, ...]:
+    """The types a cell prints as an integer: int and bool, and numpy's
+    integer and bool scalars once numpy is loaded (before that, no numpy
+    scalar can exist)."""
+    np = sys.modules.get("numpy")
+    return (int,) if np is None else (int, np.integer, np.bool_)
+
+
+def _csv_cell(value, integers: tuple[type, ...]) -> str:
+    if isinstance(value, integers):
         return str(int(value))
     value = float(value)
     return "nan" if math.isnan(value) else f"{value:.17e}"
 
 
-def _json_cell(value):
-    if isinstance(value, (int, np.integer, np.bool_)):
+def _json_cell(value, integers: tuple[type, ...]):
+    if isinstance(value, integers):
         return int(value)
     value = float(value)
     return None if math.isnan(value) else value
 
 
 def _table_csv(table: Table) -> str:
+    integers = _integer_types()
     lines = [",".join(table.columns)]
     lines.extend(
-        ",".join(_csv_cell(v) for v in row) for row in table.rows
+        ",".join(_csv_cell(v, integers) for v in row) for row in table.rows
     )
     return "\n".join(lines) + "\n"
 
 
 def _table_doc(table: Table) -> dict:
+    integers = _integer_types()
     return {
         "columns": table.columns,
-        "rows": [[_json_cell(v) for v in row] for row in table.rows],
+        "rows": [[_json_cell(v, integers) for v in row]
+                 for row in table.rows],
     }
 
 

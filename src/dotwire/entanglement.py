@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyProjection, SingularSystem, TangentPole
 from .model import ModelParams, ScatteringSolution, solve_two_dot
 

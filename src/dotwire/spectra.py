@@ -20,8 +20,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from .model import ModelParams, _reflection_poles, solve_two_dot
 
@@ -60,6 +58,24 @@ class PeakRecord:
     with_sr: bool
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of Python floats, equal to
+    it bit for bit, without importing numpy: point i is i*step + start, the
+    last point is stop, and a step that underflows to zero is applied as
+    (i/(num - 1))*(stop - start) instead, as numpy does."""
+    start, stop = float(start), float(stop)
+    div, span = num - 1, stop - start
+    if div <= 0:
+        return [0.0 * span + start for _ in range(num)]
+    step = span / div
+    if step == 0:
+        points = [i / div * span + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def sweep_detuning(
     params: ModelParams,
     delta_min: float,
@@ -77,9 +93,9 @@ def sweep_detuning(
             f"need delta_min < delta_max, got {delta_min} >= {delta_max}"
         )
     rows = []
-    for delta in np.linspace(delta_min, delta_max, n_points):
-        sol = solve_two_dot(params.at_delta(float(delta)))
-        rows.append(SpectrumRow(float(delta), sol.T, sol.R, sol.Loss))
+    for delta in _linspace(delta_min, delta_max, n_points):
+        sol = solve_two_dot(params.at_delta(delta))
+        rows.append(SpectrumRow(delta, sol.T, sol.R, sol.Loss))
     return rows
 
 
@@ -93,12 +109,6 @@ def _reflection(
         return solve_two_dot(params.at_delta(delta)).R
     except SingularSystem:
         return abs(sum(c / (delta - z) for c, z in poles)) ** 2
-
-
-def _modulus_squared(p: np.ndarray) -> np.ndarray:
-    """|p(x)|^2 for real x, as a polynomial with real coefficients (numpy
-    polyval order: highest power first)."""
-    return np.convolve(p, np.conj(p)).real
 
 
 def reflection_peak(
@@ -122,6 +132,8 @@ def reflection_peak(
     both bracket edges, R has no interior maximum above its edge values
     there: NoPeakInBracket.
     """
+    import numpy as np  # only the peak search needs polynomial algebra
+
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
@@ -133,7 +145,9 @@ def reflection_peak(
         factor = [1.0, -z]
         num = np.convolve(num, factor) + c * np.concatenate(([0.0], den))
         den = np.convolve(den, factor)
-    power_num, power_den = _modulus_squared(num), _modulus_squared(den)
+    # |p(x)|^2 for real x, as a real polynomial (highest power first)
+    power_num = np.convolve(num, np.conj(num)).real
+    power_den = np.convolve(den, np.conj(den)).real
     slope = (np.convolve(np.polyder(power_num), power_den)
              - np.convolve(power_num, np.polyder(power_den)))
     roots, d_slope = np.roots(slope), np.polyder(slope)

@@ -16,9 +16,10 @@ import sys
 
 import pytest
 
-from dotwire import cli
+from dotwire import cli, lattice
 from dotwire.cli import main
 from dotwire.errors import NotConverged
+from dotwire.model import solve_single_dot
 
 PI = math.pi
 
@@ -83,6 +84,48 @@ class TestUsageErrors:
         assert f"{name} must be finite" in err
 
 
+class TestGridInput:
+    @pytest.mark.parametrize("argv", [
+        ("concurrence-map", "--n-kd"),
+        ("concurrence-map", "--n-delta"),
+        ("phase", "--n-points"),
+        ("peaks", "--n-kd"),
+        ("spectrum", "--single-dot", "--n-points"),
+    ], ids=["map-n-kd", "map-n-delta", "phase", "peaks", "single-dot"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one(self, capsys, argv, count):
+        code, out, err = run_main(capsys, *argv, count)
+        assert code == 1
+        assert out == ""
+        assert f"{argv[-1][2:].replace('-', '_')} must be >= " in err
+
+    @pytest.mark.parametrize("argv", [
+        ("concurrence-map", "--kd-min", "inf"),
+        ("concurrence-map", "--delta-max", "nan"),
+        ("phase", "--delta-min", "inf"),
+        ("peaks", "--kd-max", "nan"),
+        ("spectrum", "--delta-min", "inf"),
+        ("spectrum", "--single-dot", "--delta-max", "nan"),
+    ], ids=["map-kd-min", "map-delta-max", "phase", "peaks", "spectrum",
+            "single-dot"])
+    def test_non_finite_end(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        # one line, no warnings from the grid arithmetic before it
+        assert err == (f"error: {argv[-2][2:].replace('-', '_')} must be "
+                       f"finite, got {float(argv[-1])}\n")
+
+    @pytest.mark.parametrize("single", [(), ("--single-dot",)],
+                             ids=["two-dot", "single-dot"])
+    def test_spectrum_needs_two_points(self, capsys, single):
+        code, out, err = run_main(capsys, "spectrum", *single,
+                                  "--n-points", "1")
+        assert code == 1
+        assert out == ""
+        assert "n_points must be >= 2, got 1" in err
+
+
 class TestSpectrumOutput:
     def test_single_table_csv(self, capsys):
         code, out, _ = run_main(capsys, *TINY)
@@ -126,6 +169,17 @@ class TestSpectrumOutput:
         assert names == ["spectrum_kd0.785_gnr0.1_sr",
                          "spectrum_single_gp0.05"]
 
+    def test_single_dot_rows_are_the_closed_form(self, capsys):
+        code, out, _ = run_main(capsys, "spectrum", "--single-dot")
+        assert code == 0
+        rows = [list(map(float, line.split(",")))
+                for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 601
+        assert rows[0][0] == -3.0 and rows[-1][0] == 3.0
+        for delta, T, R, Loss in rows:
+            sol = solve_single_dot(0.05, float(delta))
+            assert (T, R, Loss) == (sol.T, sol.R, sol.Loss), delta
+
     def test_flux_conservation_in_output(self, capsys):
         _, out, _ = run_main(capsys, *TINY)
         for line in out.strip().split("\n")[1:]:
@@ -155,6 +209,15 @@ class TestNanHandling:
         assert doc["rows"][0][2] == pytest.approx(1.0)
 
 
+class TestCellFormat:
+    def test_numpy_integers_and_bools_print_as_integers(self):
+        np = pytest.importorskip("numpy")
+        table = cli.Table("t", ["i", "b", "x"],
+                          [[np.int64(3), np.bool_(True), np.float64(0.5)]])
+        assert cli._table_csv(table) == "i,b,x\n3,1,5.00000000000000000e-01\n"
+        assert cli._table_doc(table)["rows"] == [[3, 1, 0.5]]
+
+
 class TestOracleReport:
     def test_unsettled_point_is_null_in_strict_json(
         self, capsys, tmp_path, monkeypatch
@@ -165,7 +228,7 @@ class TestOracleReport:
         def reject(constant):
             raise ValueError(f"non-JSON constant {constant}")
 
-        monkeypatch.setattr(cli, "scattering_oracle", unsettled)
+        monkeypatch.setattr(lattice, "scattering_oracle", unsettled)
         code, out, _ = run_main(capsys, "oracle-verify", "--quick")
         assert code == 2
         code, _, _ = run_main(
@@ -431,41 +494,72 @@ class TestSubprocessEntryPoints:
         assert proc.stdout.startswith("delta,T,R,Loss\n")
 
     def test_closed_form_commands_start_without_scipy(self, tmp_path):
-        # The pytest process has imported scipy already, so the import
-        # check runs in a fresh interpreter on the same sources.
+        # The pytest process has imported numpy and scipy already, so the
+        # import checks run in a fresh interpreter on the same sources.
         child = """
+import contextlib
+import io
 import math
 import sys
 
 import dotwire
-from dotwire import cli, lattice, spectra
+from dotwire import cli
+
+HEAVY = ("numpy", "dotwire.lattice", "dotwire.storage", "scipy.linalg",
+         "scipy.optimize")
+
+
+def run(*argv):
+    assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
+
+
+def loaded():
+    print(" ".join(name for name in HEAVY if name in sys.modules))
+
+
+with contextlib.redirect_stdout(io.StringIO()) as text:
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+assert "concurrence-map" in text.getvalue()
+run("spectrum", "--n-points", "3")
+run("concurrence-map", "--n-kd", "3", "--n-delta", "3")
+run("phase", "--n-points", "3")
+loaded()
+run("peaks")
+loaded()
+run("oracle-verify", "--quick")
+from dotwire import lattice, spectra
 from dotwire.model import ModelParams
 
-runs = [
-    ["spectrum", "--n-points", "3"],
-    ["peaks"],
-    ["concurrence-map", "--n-kd", "3", "--n-delta", "3"],
-    ["phase", "--n-points", "3"],
-    ["oracle-verify", "--quick"],
-]
-for argv in runs:
-    assert cli.main(["--out", sys.argv[1] + "/" + argv[0], *argv]) == 0
 assert spectra.reflection_minimum(ModelParams(kd=math.pi / 4))[1] < 1e-12
 assert lattice.no_jump_equivalence(0.5 * math.pi, 0.05).max_trace_distance < 1e-8
-print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
-               if name in sys.modules))
-assert cli.main(["--out", sys.argv[1] + "/storage", "storage",
-                 "--pulse-ratio", "5"]) == 0
-print(" ".join(name for name in ("scipy.linalg", "scipy.optimize")
-               if name in sys.modules))
+run("storage", "--pulse-ratio", "5")
+loaded()
+
+namespace = {}
+exec("from dotwire import *", namespace)
+for name in dotwire.__all__:
+    assert getattr(dotwire, name) is namespace[name], name
+try:
+    dotwire.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
 """
         proc = _child("-c", child, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        closed_form, after_storage = proc.stdout.split("\n")[:2]
+        closed_form, after_peaks, after_storage = proc.stdout.split("\n")[:3]
         assert closed_form == ""
-        assert after_storage == ""
-        assert (tmp_path / "peaks" / "peaks.csv").is_file()
-        assert (tmp_path / "storage" / "storage.csv").is_file()
+        assert after_peaks == "numpy"
+        assert after_storage == "numpy dotwire.lattice dotwire.storage"
+        for name in ("spectrum/spectrum_single_gp0.05.csv",
+                     "concurrence-map/concurrence_map.csv",
+                     "phase/phase.csv", "peaks/peaks.csv",
+                     "storage/storage.csv"):
+            assert (tmp_path / name).is_file(), name
 
     def test_quick_verification_passes_then_fails_tolerance(self):
         passing = self.run("oracle-verify", "--quick")

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from dotwire import cli
+from dotwire import cli, lattice
 from dotwire.config import OPTIONS, load_config
 from dotwire.errors import ConfigError
 from dotwire.lattice import OracleResult
@@ -99,7 +99,7 @@ class TestOptionTable:
                                 t_final=0.0, dot_population=0.0,
                                 wall_time=0.0)
 
-        monkeypatch.setattr(cli, "scattering_oracle", exact)
+        monkeypatch.setattr(lattice, "scattering_oracle", exact)
         flags, ini = SETTINGS[command]
         by_flag, by_ini = tmp_path / "flag", tmp_path / "ini"
         config = tmp_path / "run.ini"

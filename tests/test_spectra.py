@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dotwire.config import OPTIONS
 from dotwire.errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from dotwire.model import ModelParams, solve_two_dot
 from dotwire.spectra import (
+    _linspace,
     peak_position_curve,
     reflection_minimum,
     reflection_peak,
@@ -28,6 +30,41 @@ def lossy_params(kd: float, with_sr: bool = False) -> ModelParams:
         k0d=kd if with_sr else None,
         include_superradiance=with_sr,
     )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("start, stop, num", [
+        (-3.0, 3.0, 601),
+        (2.0, -3.0, 2),
+        (-1.0, 1.0, 1),
+        (-0.0, 0.0, 1),
+        (1.0, 1.0, 5),
+        (0.0, 1.0, 0),
+        # subnormal spans whose step underflows to zero: numpy divides the
+        # index first, which keeps the interior points apart
+        (0.0, 5e-324, 3),
+        (0.0, 1.5e-323, 10),
+        (-1e-322, 1e-322, 401),
+        (0.6 * PI, 2.4 * PI, 91),
+    ])
+    def test_edge_cases_equal_numpy(self, start, stop, num):
+        assert _bits(_linspace(start, stop, num)) == _bits(
+            np.linspace(start, stop, num))
+
+    def test_random_grids_equal_numpy_bit_for_bit(self):
+        rng = random.Random(15)
+        for _ in range(5000):
+            start, stop = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+                           for _ in range(2))
+            num = rng.choice((1, 2, 3, rng.randint(0, 400)))
+            points = _linspace(start, stop, num)
+            assert all(type(x) is float for x in points)
+            assert _bits(points) == _bits(np.linspace(start, stop, num)), (
+                start, stop, num)
 
 
 class TestSweepDetuning:
