@@ -180,6 +180,9 @@ def _grid(p: dict, lo: str, hi: str, n: str, minimum: int = 1) -> list[float]:
 
 def _cmd_spectrum(p: dict) -> CommandResult:
     deltas = _grid(p, "delta_min", "delta_max", "n_points", minimum=2)
+    if not p["delta_min"] < p["delta_max"]:
+        raise ValueError(f"need delta_min < delta_max, got "
+                         f"{p['delta_min']} >= {p['delta_max']}")
 
     def single_table() -> Table:
         rows = []

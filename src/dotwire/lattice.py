@@ -4,11 +4,13 @@ Everything here deliberately avoids the closed-form scattering solution: a
 wavepacket is launched on a discretized two-branch mode lattice coupled to
 the two emitters, propagated by exp(-iHt) (the Hamiltonian does not change
 in time, so one Chebyshev series per chunk of time reaches it to rounding),
-and the transmitted/reflected amplitudes are read off by projecting onto a
-narrow co-moving reference packet. Agreement with the algebraic solver is then
-evidence for both. The series is sized by the exact extreme eigenvalues of
-the Hermitian part of H, found once per system from a 2x2 secular equation
-(LatticeSystem.spectral_interval).
+and the transmitted/reflected amplitudes are read off at the carrier mode,
+whose energy is exactly 0: once the packet has passed, each mode of the
+linear lattice holds its input amplitude times the scattering amplitude at
+its energy (Shen & Fan, Opt. Lett. 30, 2001 (2005)). Agreement with the
+algebraic solver is then evidence for both. The series is sized by the exact
+extreme eigenvalues of the Hermitian part of H, found once per system from a
+2x2 secular equation (LatticeSystem.spectral_interval).
 
 Lattice layout (state vector of length 2*n + 2):
 
@@ -57,6 +59,19 @@ __all__ = [
 ]
 
 _MIN_PACKET_MODES = 200
+# the packet starts _LAUNCH_SIGMAS * sigma_x before the emitters
+_LAUNCH_SIGMAS = 6.0
+# make_mode_grid: a core of spacing _DK_CORE at least _CORE_HALF either side
+# of the carrier (>= 203 modes within +-0.08 wherever it falls), a line patch
+# of spacing _DK_LINE over +-_LINE_HALF, and _N_OUTER log-spaced modes a side
+# out to +-_GRID_HALF_WIDTH
+_CORE_HALF = 0.25
+_DK_CORE = 7.9e-4
+_LINE_HALF = 1.6
+_DK_LINE = 1e-2
+_N_OUTER = 40
+_GRID_HALF_WIDTH = 3.5
+_LINE_TOL = 0.01
 _DOT_POP_STOP = 1e-8
 _DOT_POP_FAIL = 1e-6
 _MAX_CHUNKS = 40
@@ -96,32 +111,17 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Gaussian probe packet: spectral width, launch depth, reference width.
-
-    The packet starts at x0 = -launch_sigmas * sigma_x so its leading tail
-    at the emitters is negligible at t = 0; the extraction reference is
-    narrower than the packet by ref_ratio so it samples the amplitudes at
-    the carrier rather than averaging over the band.
-    """
+    """Gaussian probe packet of spectral width sigma_k, launched so far
+    (6 sigma_x) before the emitters that its leading tail there is
+    negligible at t = 0."""
 
     sigma_k: float = 0.02
-    launch_sigmas: float = 6.0
-    ref_ratio: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_k", "launch_sigmas", "ref_ratio"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.sigma_k):
+            raise ValueError(f"sigma_k must be finite, got {self.sigma_k}")
         if self.sigma_k <= 0:
             raise ValueError(f"sigma_k must be > 0, got {self.sigma_k}")
-        if self.ref_ratio <= 0:
-            raise ValueError(f"ref_ratio must be > 0, got {self.ref_ratio}")
-        if self.launch_sigmas < 4.5:
-            raise ValueError(
-                "launch_sigmas < 4.5 leaves a visible leading tail at the "
-                "emitters at t = 0, biasing the extracted amplitudes"
-            )
 
     @property
     def sigma_x(self) -> float:
@@ -231,32 +231,24 @@ class NoJumpReport:
     t_max: float
 
 
-def make_mode_grid(
-    center: float,
-    half_width: float = 3.5,
-    core_half: float = 0.25,
-    dk_core: float = 8e-4,
-    line_half: float = 1.6,
-    dk_line: float = 1e-2,
-    n_outer: int = 40,
-) -> ModeGrid:
-    """Nonuniform grid for scattering runs: a fine patch around the packet
-    carrier, a medium patch around the emitter line at nu = 0 (without it,
-    emission at the line lands on sparse filler modes and quasi-recurs,
-    stalling convergence), and log-spaced filler out to +-half_width."""
-    pieces = [
-        np.arange(-core_half, core_half + 0.5 * dk_core, dk_core) + center,
-        np.arange(-line_half, line_half + 0.5 * dk_line, dk_line),
-    ]
-    base = np.sort(np.concatenate(pieces))
-    keep = np.concatenate([[True], np.diff(base) > 0.45 * dk_core])
-    base = base[keep]
+def make_mode_grid(center: float) -> ModeGrid:
+    """Nonuniform grid for scattering runs: a uniform fine patch with a mode
+    exactly at the packet carrier `center`, a medium patch around the
+    emitter line at nu = 0 (without it, emission at the line lands on
+    sparse filler modes and quasi-recurs, stalling convergence), and
+    log-spaced filler out to +-3.5. Line-patch modes that would fall inside
+    the fine patch are left out, so the fine patch stays uniform."""
+    m = math.ceil(_CORE_HALF / _DK_CORE)
+    core = center + _DK_CORE * np.arange(-m, m + 1)
+    line = np.arange(-_LINE_HALF, _LINE_HALF + 0.5 * _DK_LINE, _DK_LINE)
+    line = line[np.abs(line - center) > (m + 0.5) * _DK_CORE]
+    base = np.sort(np.concatenate([core, line]))
     lo, hi = base[0], base[-1]
     outer = []
-    for sign, edge, limit in ((-1.0, lo, -half_width), (1.0, hi, half_width)):
-        span = abs(limit - edge)
-        if span > dk_line:
-            outer.append(edge + sign * np.geomspace(dk_line, span, n_outer))
+    for sign, edge in ((-1.0, lo), (1.0, hi)):
+        span = _GRID_HALF_WIDTH - sign * edge
+        if span > _DK_LINE:
+            outer.append(edge + sign * np.geomspace(_DK_LINE, span, _N_OUTER))
     nu = np.sort(np.concatenate([base] + outer))
     return ModeGrid(nu=nu, weights=_trapezoid_weights(nu))
 
@@ -279,12 +271,11 @@ def build_hamiltonian(
     grid: ModeGrid,
     params: ModelParams,
     line_check: bool = True,
-    line_tol: float = 0.01,
 ) -> LatticeSystem:
     """Assemble the two-branch, two-emitter lattice at params.delta carrier.
 
     With line_check=True the grid must reproduce the guided decay rate at
-    the emitter line to within line_tol, estimated by smearing the line over
+    the emitter line to within 1%, estimated by smearing the line over
     eta = 0.5: Gamma_est = (GAMMA_PL/pi) * sum w * eta / (nu^2 + eta^2).
     This catches both window truncation and undersampling; GridTooCoarse
     otherwise. Scattering runs disable it — their narrow window is corrected
@@ -296,10 +287,10 @@ def build_hamiltonian(
         gamma_est = GAMMA_PL / math.pi * float(
             np.sum(grid.weights * eta / (grid.nu**2 + eta**2))
         )
-        if abs(gamma_est - GAMMA_PL) > line_tol * GAMMA_PL:
+        if abs(gamma_est - GAMMA_PL) > _LINE_TOL * GAMMA_PL:
             raise GridTooCoarse(
                 f"grid reproduces the guided rate as {gamma_est:.4f} "
-                f"(want {GAMMA_PL} within {line_tol:.0%}); widen the window "
+                f"(want {GAMMA_PL} within {_LINE_TOL:.0%}); widen the window "
                 f"or refine the spacing"
             )
 
@@ -487,18 +478,15 @@ def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
     return _chebyshev(system, psi, t)[0]
 
 
-def _make_packet(
-    system: LatticeSystem, packet: WavepacketSpec
-) -> tuple[np.ndarray, float]:
+def _make_packet(system: LatticeSystem, packet: WavepacketSpec) -> np.ndarray:
     """Normalized right-moving Gaussian at the carrier, launched at x0 < 0."""
-    x0 = -packet.launch_sigmas * packet.sigma_x
+    x0 = -_LAUNCH_SIGMAS * packet.sigma_x
     f = (
         np.sqrt(system.grid.weights)
         * np.exp(-system.eps**2 / (4.0 * packet.sigma_k**2))
         * np.exp(-1j * system.eps * x0)
     )
-    f /= math.sqrt(float(np.sum(np.abs(f) ** 2)))
-    return f, x0
+    return f / math.sqrt(float(np.sum(np.abs(f) ** 2)))
 
 
 def scattering_oracle(
@@ -514,9 +502,10 @@ def scattering_oracle(
     first once the packet has passed the emitters, then every 25.025, until
     the emitter population has decayed below 1e-8, up to 40 chunks;
     NotConverged if the population is still above 1e-6 there.
-    The amplitudes come from projecting each branch onto a narrow co-moving
-    reference, normalized by the same projection of the freely propagated
-    input.
+    t and r are read at the carrier mode c, where nu = params.delta exactly
+    (GridTooCoarse if a caller's grid has none): once the packet has passed,
+    mode c holds its input amplitude f_c times t on the right branch and
+    times r on the left, with no phase, as its energy is 0.
     """
     if grid is None:
         grid = make_mode_grid(params.delta)
@@ -528,13 +517,20 @@ def scattering_oracle(
             f">= {_MIN_PACKET_MODES}); refine the grid or widen the packet"
         )
     system = build_hamiltonian(grid, params, line_check=False)
+    carrier = np.flatnonzero(system.eps == 0.0)
+    if carrier.size == 0:
+        raise GridTooCoarse(
+            f"no mode sits on the carrier nu = {params.delta!r}; the "
+            f"amplitudes are read there (make_mode_grid puts one on it)"
+        )
+    c = int(carrier[0])
 
-    f, x0 = _make_packet(system, packet)
+    f = _make_packet(system, packet)
     n = grid.n_modes
     psi = np.zeros(system.size, dtype=complex)
     psi[:n] = f
 
-    t_pass = abs(x0) + 5.0 * packet.sigma_x
+    t_pass = (_LAUNCH_SIGMAS + 5.0) * packet.sigma_x
     started = time.perf_counter()
     n_steps = 0
     ticks = 0
@@ -554,18 +550,9 @@ def scattering_oracle(
             f"{_DOT_POP_FAIL} after t={t_final:.1f}"
         )
 
-    sigma_ref = packet.sigma_k / packet.ref_ratio
-    ref = (
-        np.sqrt(system.grid.weights)
-        * np.exp(-system.eps**2 / (4.0 * sigma_ref**2))
-        * np.exp(-1j * system.eps * (x0 + t_final))
-    )
-    den = np.sum(np.conj(ref) * f * np.exp(-1j * system.eps * t_final))
-    t_num = complex(np.sum(np.conj(ref) * psi[:n]) / den)
-    r_num = complex(np.sum(np.conj(ref) * psi[n : 2 * n]) / den)
     return OracleResult(
-        t=t_num,
-        r=r_num,
+        t=complex(psi[c] / f[c]),
+        r=complex(psi[n + c] / f[c]),
         n_modes=grid.n_modes,
         n_steps=n_steps,
         t_final=t_final,

@@ -189,6 +189,52 @@ def test_criterion_07_time_domain_oracle_matrix():
             f"in {elapsed:.0f}s")
 
 
+def _oracle_params(kd, delta, gamma_prime, with_sr):
+    if with_sr:
+        return ModelParams(kd=kd, delta=delta, gamma0=0.05,
+                           gamma_nr=gamma_prime, k0d=kd,
+                           include_superradiance=True)
+    return ModelParams(kd=kd, delta=delta, gamma_nr=gamma_prime)
+
+
+def _seeded_oracle_points(seed: int = 1, n: int = 20):
+    """n random points with kd/pi in [0.3, 2.2], delta in [-2.3, 2.3] and
+    gamma' in {0, 0.05}; every third carries the collective term."""
+    rng = np.random.default_rng(seed)
+    kd = rng.uniform(0.3, 2.2, n) * PI
+    delta = rng.uniform(-2.3, 2.3, n)
+    gamma_prime = rng.choice([0.0, 0.05], n)
+    return [
+        (_oracle_params(float(kd[i]), float(delta[i]), float(gamma_prime[i]),
+                        i % 3 == 2), 0.02)
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        _seeded_oracle_points(),
+        # a reference-packet readout on a grid with line modes mixed into
+        # its core erred by about 1 and 0.45 at these two points
+        [(_oracle_params(0.5265 * PI, 1.4399, 0.05, False), 0.02),
+         (_oracle_params(0.7027 * PI, 0.1807, 0.0, True), 0.02)],
+        [(ModelParams(kd=PI / 4, delta=-0.5), sigma_k)
+         for sigma_k in (0.02, 0.03, 0.04)],
+    ],
+    ids=["seeded-draw", "narrow-features", "packet-widths"],
+)
+def test_oracle_off_the_criterion_07_matrix(cases):
+    # criterion 07's points are fixed; the carrier readout must hold
+    # anywhere in its ranges and for any resolved packet width
+    worst = 0.0
+    for params, sigma_k in cases:
+        exact = solve_two_dot(params)
+        oracle = scattering_oracle(params, WavepacketSpec(sigma_k=sigma_k))
+        worst = max(worst, abs(oracle.t - exact.t), abs(oracle.r - exact.r))
+    assert worst <= 1e-4
+
+
 def test_criterion_08_no_jump_equivalence():
     worst_trace = 0.0
     for k0d in (0.5 * PI, 0.25 * PI):

@@ -125,6 +125,19 @@ class TestGridInput:
         assert out == ""
         assert "n_points must be >= 2, got 1" in err
 
+    @pytest.mark.parametrize("single", [(), ("--single-dot",)],
+                             ids=["two-dot", "single-dot"])
+    @pytest.mark.parametrize("ends", [("3", "-3"), ("1", "1")],
+                             ids=["descending", "equal"])
+    def test_spectrum_needs_ascending_ends(self, capsys, single, ends):
+        code, out, err = run_main(capsys, "spectrum", *single,
+                                  "--delta-min", ends[0],
+                                  "--delta-max", ends[1], "--n-points", "3")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: need delta_min < delta_max, got "
+                       f"{float(ends[0])} >= {float(ends[1])}\n")
+
 
 class TestSpectrumOutput:
     def test_single_table_csv(self, capsys):

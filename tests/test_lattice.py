@@ -40,9 +40,26 @@ class TestModeGrids:
         assert grid.nu[-1] == pytest.approx(3.5, abs=1e-6)
 
     def test_core_patch_resolves_the_packet_band(self):
-        grid = make_mode_grid(1.2)
-        band = np.abs(grid.nu - 1.2) <= 4 * 0.02
-        assert int(np.count_nonzero(band)) >= 200
+        # wherever the carrier falls against the line patch
+        for center in (-0.5, 0.1807, 1.2, 1.4399):
+            grid = make_mode_grid(center)
+            band = np.abs(grid.nu - center) <= 4 * 0.02
+            assert int(np.count_nonzero(band)) >= 200
+
+    @pytest.mark.parametrize("center", [-0.5, 0.1807, 1.2, 1.4399])
+    def test_core_is_uniform_about_a_mode_on_the_carrier(self, center):
+        grid = make_mode_grid(center)
+        (c,) = np.flatnonzero(grid.nu == center)
+        # the core is the run of equal spacings either side of the carrier
+        gaps = np.diff(grid.nu)
+        spacing = gaps[c]
+        uniform = np.abs(gaps - spacing) <= 1e-12
+        left = c - int(np.argmin(uniform[c - 1 :: -1]))
+        right = c + int(np.argmin(uniform[c:]))
+        assert right - c == c - left
+        offsets = grid.nu[left : right + 1] - center
+        assert np.allclose(offsets, -offsets[::-1], rtol=0.0, atol=1e-12)
+        assert offsets[-1] >= 0.25
 
     def test_coupling_reproduces_quadrature(self):
         grid = uniform_mode_grid(10.0, 0.01)
@@ -268,32 +285,25 @@ class TestScatteringOracle:
                 ModelParams(kd=PI / 4), WavepacketSpec(sigma_k=0.001)
             )
 
-    def test_shallow_launch_rejected(self):
-        with pytest.raises(ValueError):
-            WavepacketSpec(launch_sigmas=3.0)
+    def test_grid_without_a_carrier_mode_raises(self):
+        # the packet band is resolved, but no mode sits on the carrier,
+        # where t and r are read
+        grid = make_mode_grid(-0.5)
+        with pytest.raises(GridTooCoarse, match="carrier nu = -0.4996"):
+            scattering_oracle(ModelParams(kd=PI / 4, delta=-0.4996),
+                              grid=grid)
 
-    @pytest.mark.parametrize("name", ["sigma_k", "launch_sigmas",
-                                      "ref_ratio"])
+    @pytest.mark.parametrize("name", ["sigma_k"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_packet_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             WavepacketSpec(**{name: value})
 
-    def test_zero_ref_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ref_ratio must be > 0"):
-            WavepacketSpec(ref_ratio=0.0)
-
     def test_long_lived_subradiant_state_raises(self):
         # just off the kd = 2*pi decoupling point the antisymmetric state is
         # excitable but decays far too slowly for the chunk budget
-        grid = make_mode_grid(
-            0.01, half_width=2.0, core_half=0.1, dk_core=8e-4,
-            line_half=0.3, dk_line=0.01, n_outer=25,
-        )
         with pytest.raises(NotConverged):
-            scattering_oracle(
-                ModelParams(kd=2 * PI - 0.02, delta=0.01), grid=grid
-            )
+            scattering_oracle(ModelParams(kd=2 * PI - 0.02, delta=0.01))
 
 
 class TestCollectiveRates:
