@@ -390,8 +390,7 @@ def _integer_types() -> tuple[type, ...]:
 def _csv_cell(value, integers: tuple[type, ...]) -> str:
     if isinstance(value, integers):
         return str(int(value))
-    value = float(value)
-    return "nan" if math.isnan(value) else f"{value:.17e}"
+    return f"{float(value):.17e}"
 
 
 def _json_cell(value, integers: tuple[type, ...]):

@@ -27,7 +27,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyProjection, SingularSystem, TangentPole
-from .model import ModelParams, ScatteringSolution, solve_two_dot
+from .model import (
+    ModelParams,
+    ScatteringSolution,
+    _amplitudes,
+    _phase_and_coupling,
+    solve_two_dot,
+)
 
 __all__ = [
     "ProjectedState",
@@ -82,16 +88,21 @@ def project_state(sol: ScatteringSolution) -> ProjectedState:
     Raises EmptyProjection when both emitter amplitudes vanish (nothing was
     absorbed, so there is no post-selected state to normalize).
     """
-    norm = abs(sol.xi1) ** 2 + abs(sol.xi2) ** 2
+    return _project(sol.xi1, sol.xi2)
+
+
+def _project(xi1: complex, xi2: complex) -> ProjectedState:
+    """project_state from the emitter amplitudes alone."""
+    norm = abs(xi1) ** 2 + abs(xi2) ** 2
     if norm <= _PROJECTION_FLOOR:
         raise EmptyProjection(
             f"emitter amplitudes vanish (weight {norm:.3e}); no "
             f"post-selected state exists"
         )
-    amp_eg = sol.xi1 / math.sqrt(norm)
-    amp_ge = sol.xi2 / math.sqrt(norm)
-    theta = math.atan2((sol.xi2 * sol.xi1.conjugate()).imag,
-                       (sol.xi2 * sol.xi1.conjugate()).real)
+    amp_eg = xi1 / math.sqrt(norm)
+    amp_ge = xi2 / math.sqrt(norm)
+    theta = math.atan2((xi2 * xi1.conjugate()).imag,
+                       (xi2 * xi1.conjugate()).real)
     if theta == -math.pi:
         theta = math.pi
     return ProjectedState(
@@ -138,7 +149,9 @@ def concurrence_map(
     params_base: ModelParams,
 ) -> list[ConcurrenceCell]:
     """Concurrence and relative phase over a (kd, delta) grid, row-major in
-    kd. Singular grid points become NaN cells rather than holes."""
+    kd, each cell equal to project_state(solve_two_dot(...)) bit for bit.
+    Singular grid points become NaN cells rather than holes; a non-finite
+    detuning raises ValueError."""
     cells = []
     for kd in kd_values:
         kd = float(kd)
@@ -149,10 +162,13 @@ def concurrence_map(
             k0d=params_base.k0d,
             include_superradiance=params_base.include_superradiance,
         )
+        e, w = _phase_and_coupling(params)
+        gamma_prime = params.gamma_prime
         for delta in delta_values:
             delta = float(delta)
             try:
-                state = project_state(solve_two_dot(params.at_delta(delta)))
+                xi1, xi2 = _amplitudes(kd, e, w, delta, gamma_prime)[4:]
+                state = _project(xi1, xi2)
             except (SingularSystem, EmptyProjection):
                 cells.append(ConcurrenceCell(kd, delta, math.nan, math.nan))
             else:
@@ -185,6 +201,8 @@ def phase_scan(
     points = []
     for delta in delta_values:
         delta = float(delta)
+        if not math.isfinite(delta):  # before kd, which is derived from it
+            raise ValueError(f"delta must be finite, got {delta}")
         kd = _branch_kd(delta, gamma_prime, kd_policy)
         if gamma_prime == 0.0 and delta == 0.0:
             limit = math.pi if kd_policy == "even" else 0.0

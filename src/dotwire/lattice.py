@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _MIN_PACKET_MODES = 200
+# the packet-band modes must mirror about the carrier to within this
+_MIRROR_TOL = 1e-9
 # the packet starts _LAUNCH_SIGMAS * sigma_x before the emitters
 _LAUNCH_SIGMAS = 6.0
 # make_mode_grid: a core of spacing _DK_CORE at least _CORE_HALF either side
@@ -502,10 +504,12 @@ def scattering_oracle(
     first once the packet has passed the emitters, then every 25.025, until
     the emitter population has decayed below 1e-8, up to 40 chunks;
     NotConverged if the population is still above 1e-6 there.
-    t and r are read at the carrier mode c, where nu = params.delta exactly
-    (GridTooCoarse if a caller's grid has none): once the packet has passed,
-    mode c holds its input amplitude f_c times t on the right branch and
-    times r on the left, with no phase, as its energy is 0.
+    t and r are read at the carrier mode c, where nu = params.delta exactly:
+    once the packet has passed, mode c holds its input amplitude f_c times t
+    on the right branch and times r on the left, with no phase, as its
+    energy is 0. A caller's grid must have that mode, and its modes within
+    +-4 sigma_k must mirror about it to within 1e-9, as the principal-value
+    counterterm needs (GridTooCoarse otherwise).
     """
     if grid is None:
         grid = make_mode_grid(params.delta)
@@ -524,6 +528,16 @@ def scattering_oracle(
             f"amplitudes are read there (make_mode_grid puts one on it)"
         )
     c = int(carrier[0])
+    # the principal-value counterterm of build_hamiltonian is exact only
+    # when the modes near the carrier cancel pairwise
+    offsets = np.sort(system.eps[in_band])
+    asymmetry = float(np.max(np.abs(offsets + offsets[::-1])))
+    if asymmetry > _MIRROR_TOL:
+        raise GridTooCoarse(
+            f"the packet band of the grid is not mirror-symmetric about the "
+            f"carrier (worst mismatch {asymmetry:.3e}, limit {_MIRROR_TOL}); "
+            f"make_mode_grid builds a symmetric one"
+        )
 
     f = _make_packet(system, packet)
     n = grid.n_modes

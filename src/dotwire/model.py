@@ -100,7 +100,9 @@ class ScatteringSolution:
     a, b:       right-/left-moving amplitudes between the emitters
     xi1, xi2:   excitation amplitudes of emitter 1 (at x=0) and 2 (at x=d)
     T, R, Loss: |t|^2, |r|^2, 1 - T - R
-    residual:   worst relative residual of the coefficient relations
+    residual:   worst relative residual of the coefficient relations; the
+                solve functions compute it, and the grids of sweep_detuning
+                and concurrence_map, which build no solution, skip it
     """
 
     t: complex
@@ -152,22 +154,42 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
     with e = exp(i*kd), Delta = delta + i*(gamma_prime + GAMMA_PL)/2, and
     w = i*(GAMMA_PL*e + Gamma_SR)/2. Back-substitution fills every amplitude.
 
-    Raises SingularSystem when |det| = |(w-Delta)(w+Delta)| < 1e-14.
+    Raises SingularSystem when |det| = |(w-Delta)(w+Delta)| < 1e-14. Only
+    this function computes the relation residual: sweep_detuning and
+    concurrence_map call the same solve, _amplitudes, and skip it.
     """
     e, w = _phase_and_coupling(params)
-    big_delta = params.delta + 0.5j * (params.gamma_prime + GAMMA_PL)
+    t, r, a, b, xi1, xi2 = _amplitudes(params.kd, e, w, params.delta,
+                                       params.gamma_prime)
+    residual = relation_residual(params, t, r, a, b, xi1, xi2)
+    return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
+                              residual=residual)
+
+
+def _amplitudes(kd, e, w, delta, gamma_prime):
+    """(t, r, a, b, xi1, xi2) of the 2x2 system at detuning delta, with
+    e, w = _phase_and_coupling at kd. ValueError for a non-finite delta,
+    SingularSystem when |det| < 1e-14."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    big_delta = delta + 0.5j * (gamma_prime + GAMMA_PL)
     # the factored form avoids cancellation near the singular set
     det = (w - big_delta) * (w + big_delta)
     if abs(det) < _DET_FLOOR:
         raise SingularSystem(
             f"2x2 amplitude system is singular (|det|={abs(det):.3e}) at "
-            f"kd={params.kd}, delta={params.delta}, "
-            f"gamma_prime={params.gamma_prime}"
+            f"kd={kd}, delta={delta}, gamma_prime={gamma_prime}"
         )
-    t, r, a, b, xi1, xi2 = _back_substitute(e, w, big_delta, det)
-    residual = relation_residual(params, t, r, a, b, xi1, xi2)
-    return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
-                              residual=residual)
+    g = G_COUPLING
+    xi1 = 2 * g * (e * w - big_delta) / det
+    xi2 = 2 * g * (w - e * big_delta) / det
+
+    g_over_iv = g / (1j * V_G)
+    a = 1.0 + g_over_iv * xi1
+    b = g_over_iv * xi2 * e
+    t = 1.0 + g_over_iv * (xi1 + xi2 / e)
+    r = g_over_iv * (xi1 + xi2 * e)
+    return t, r, a, b, xi1, xi2
 
 
 def _reflection_poles(params: ModelParams) -> list[tuple[complex, complex]]:
@@ -201,20 +223,6 @@ def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
         else 0.0j
     )
     return e, 0.5j * GAMMA_PL * e + s_sr
-
-
-def _back_substitute(e, w, big_delta, det):
-    """(t, r, a, b, xi1, xi2) from the 2x2 system with determinant det."""
-    g = G_COUPLING
-    xi1 = 2 * g * (e * w - big_delta) / det
-    xi2 = 2 * g * (w - e * big_delta) / det
-
-    g_over_iv = g / (1j * V_G)
-    a = 1.0 + g_over_iv * xi1
-    b = g_over_iv * xi2 * e
-    t = 1.0 + g_over_iv * (xi1 + xi2 / e)
-    r = g_over_iv * (xi1 + xi2 * e)
-    return t, r, a, b, xi1, xi2
 
 
 def relation_residual(

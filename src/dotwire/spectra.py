@@ -21,7 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
-from .model import ModelParams, _reflection_poles, solve_two_dot
+from .model import (
+    ModelParams,
+    _amplitudes,
+    _phase_and_coupling,
+    _reflection_poles,
+    solve_two_dot,
+)
 
 __all__ = [
     "SpectrumRow",
@@ -84,7 +90,9 @@ def sweep_detuning(
 ) -> list[SpectrumRow]:
     """Solve on a uniform detuning grid; params.delta is overridden per row.
 
-    SingularSystem propagates with the offending detuning in its message.
+    Each row equals solve_two_dot at its detuning bit for bit, without the
+    relation residual. SingularSystem propagates with the offending
+    detuning in its message; a non-finite detuning raises ValueError.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -92,10 +100,13 @@ def sweep_detuning(
         raise ValueError(
             f"need delta_min < delta_max, got {delta_min} >= {delta_max}"
         )
+    e, w = _phase_and_coupling(params)
+    kd, gamma_prime = params.kd, params.gamma_prime
     rows = []
     for delta in _linspace(delta_min, delta_max, n_points):
-        sol = solve_two_dot(params.at_delta(delta))
-        rows.append(SpectrumRow(delta, sol.T, sol.R, sol.Loss))
+        t, r = _amplitudes(kd, e, w, delta, gamma_prime)[:2]
+        T, R = abs(t) ** 2, abs(r) ** 2
+        rows.append(SpectrumRow(delta, T, R, 1.0 - T - R))
     return rows
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from dotwire.entanglement import (
     phase_scan,
     project_state,
 )
-from dotwire.errors import EmptyProjection, TangentPole
+from dotwire.errors import EmptyProjection, SingularSystem, TangentPole
 from dotwire.model import ModelParams, ScatteringSolution, solve_two_dot
 
 PI = math.pi
@@ -112,6 +113,36 @@ class TestConcurrenceMap:
         assert flags == [False, True, False]
         assert math.isnan(cells[1].theta)
 
+    @pytest.mark.parametrize("base, n_singular", [
+        (ModelParams(kd=1.0), 2),
+        (ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025), 0),
+        (ModelParams(kd=1.0, gamma0=0.05, gamma_nr=0.025,
+                     include_superradiance=True), 0),
+    ], ids=["lossless", "lossy", "collective"])
+    def test_every_cell_equals_the_public_solve(self, base, n_singular):
+        # kd = pi and 2*pi, and delta = 0, are on the grid: lossless, those
+        # two points are singular
+        kds = np.linspace(PI, 2 * PI, 7)
+        deltas = np.linspace(-2.0, 2.0, 41)
+        singular = 0
+        for cell in concurrence_map(kds, deltas, base):
+            params = dataclasses.replace(base, kd=cell.kd, delta=cell.delta)
+            try:
+                state = project_state(solve_two_dot(params))
+            except SingularSystem:
+                singular += 1
+                assert math.isnan(cell.concurrence) and math.isnan(cell.theta)
+                continue
+            assert (cell.concurrence, cell.theta) == (
+                state.concurrence, state.theta)
+        assert singular == n_singular
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, value):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            concurrence_map([1.0], [0.5, value],
+                            ModelParams(kd=1.0, gamma_nr=0.05))
+
     def test_row_major_layout_and_generic_cells(self):
         kds = [0.9, 1.7]
         deltas = [-0.5, 0.5, 1.5]
@@ -167,6 +198,22 @@ class TestPhaseScan:
         odd = phase_scan([0.3], 0.0, kd_policy="odd")[0]
         assert even.kd == pytest.approx(2 * PI + math.atan(-0.6))
         assert odd.kd == pytest.approx(PI + math.atan(-0.6))
+
+    @pytest.mark.parametrize("gamma_prime", [0.0, 0.05])
+    @pytest.mark.parametrize("policy", ["even", "odd"])
+    def test_every_point_equals_the_public_solve(self, gamma_prime, policy):
+        deltas = np.linspace(-2.0, 2.0, 41)
+        for point in phase_scan(deltas, gamma_prime, kd_policy=policy):
+            if gamma_prime == 0.0 and point.delta == 0.0:
+                continue  # the assigned limit at the decoupled point
+            state = project_state(solve(point.kd, point.delta, gamma_prime))
+            assert (point.theta, point.concurrence) == (
+                state.theta, state.concurrence)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, value):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            phase_scan([0.5, value], 0.05)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from dotwire import lattice
 from dotwire.errors import GridTooCoarse, NotConverged
 from dotwire.lattice import (
     LatticeSystem,
+    ModeGrid,
     WavepacketSpec,
     build_hamiltonian,
     evolve,
@@ -292,6 +293,28 @@ class TestScatteringOracle:
         with pytest.raises(GridTooCoarse, match="carrier nu = -0.4996"):
             scattering_oracle(ModelParams(kd=PI / 4, delta=-0.4996),
                               grid=grid)
+
+    def test_grid_not_mirrored_about_the_carrier_raises(self):
+        # a core of spacing 8e-4 that misses the carrier by 1e-4, plus one
+        # mode on it: the principal-value counterterm is then wrong, and
+        # without this check t and r came out off by more than 0.3
+        delta = 1.4399
+        nu = np.sort(np.concatenate([
+            1.44 + 8e-4 * np.arange(-300, 301), [delta],
+            np.linspace(-3.5, 1.19, 120), np.linspace(1.69, 3.5, 60),
+        ]))
+        grid = ModeGrid(nu=nu, weights=lattice._trapezoid_weights(nu))
+        params = ModelParams(kd=0.5265 * PI, delta=delta, gamma_nr=0.05)
+        with pytest.raises(GridTooCoarse, match="not mirror-symmetric"):
+            scattering_oracle(params, grid=grid)
+
+    @pytest.mark.parametrize("delta", [-2.3, -0.5, 0.1807, 1.2, 1.4399, 2.3])
+    def test_default_grid_passes_the_mirror_check(self, delta):
+        params = ModelParams(kd=PI / 4, delta=delta, gamma_nr=0.05)
+        result = scattering_oracle(params)
+        exact = solve_two_dot(params)
+        assert abs(result.t - exact.t) < 1e-3
+        assert abs(result.r - exact.r) < 1e-3
 
     @pytest.mark.parametrize("name", ["sigma_k"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from dotwire import model
+from dotwire.entanglement import concurrence_map
 from dotwire.errors import SingularSystem
 from dotwire.model import (
     GAMMA_PL,
@@ -18,6 +20,7 @@ from dotwire.model import (
     solve_two_dot,
     superradiant_rate,
 )
+from dotwire.spectra import _linspace, sweep_detuning
 
 
 class TestSuperradiantRate:
@@ -257,3 +260,23 @@ def test_amplitudes_continuous_near_singularity():
     sol = solve_two_dot(ModelParams(kd=2 * math.pi, delta=1e-7))
     assert sol.residual <= 1e-12
     assert abs(sol.r) <= 1.0 + 1e-9
+
+
+def test_grid_functions_skip_the_relation_residual(monkeypatch):
+    # the residual is the public solve's check; the detuning sweep and the
+    # concurrence map solve every cell through the same kernel without it
+    calls = []
+    real = model.relation_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "relation_residual", counted)
+    solve_two_dot(ModelParams(kd=1.0))
+    assert len(calls) == 1  # the counter sees the public solve
+    lossy = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
+    concurrence_map(_linspace(0.6 * math.pi, 2.4 * math.pi, 20),
+                    _linspace(-2.0, 2.0, 20), lossy)
+    sweep_detuning(lossy, -3.0, 3.0, 201)
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -83,9 +84,26 @@ class TestSweepDetuning:
             assert abs(row.T + row.R - 1.0) < 1e-12
             assert abs(row.Loss) < 1e-12
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(kd=PI / 3),
+        lossy_params(0.7 * PI),
+        lossy_params(1.3 * PI, with_sr=True),
+    ], ids=["lossless", "lossy", "collective"])
+    def test_every_row_equals_the_public_solve(self, params):
+        for row in sweep_detuning(params, -3.0, 3.0, 241):
+            sol = solve_two_dot(params.at_delta(row.delta))
+            assert (row.T, row.R, row.Loss) == (sol.T, sol.R, sol.Loss)
+
     def test_propagates_singular_point(self):
-        with pytest.raises(SingularSystem):
+        # the message names the point: kd, the detuning and the loss
+        where = f"kd={2 * PI}, delta=0.0, gamma_prime=0.0"
+        with pytest.raises(SingularSystem, match=re.escape(where)):
             sweep_detuning(ModelParams(kd=2 * PI), -1.0, 1.0, 21)
+
+    @pytest.mark.parametrize("ends", [(-math.inf, 1.0), (-1.0, math.inf)])
+    def test_rejects_an_infinite_end(self, ends):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            sweep_detuning(lossy_params(PI / 4), *ends, 11)
 
     def test_rejects_bad_grid(self):
         params = lossy_params(PI / 4)
