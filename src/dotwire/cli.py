@@ -394,10 +394,7 @@ def _csv_cell(value, integers: tuple[type, ...]) -> str:
 
 
 def _json_cell(value, integers: tuple[type, ...]):
-    if isinstance(value, integers):
-        return int(value)
-    value = float(value)
-    return None if math.isnan(value) else value
+    return int(value) if isinstance(value, integers) else float(value)
 
 
 def _table_csv(table: Table) -> str:
@@ -419,7 +416,7 @@ def _table_doc(table: Table) -> dict:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_nulls(doc), indent=2) + "\n"
 
 
 def _nulls(value):
@@ -444,7 +441,7 @@ def _render_stdout(result: CommandResult, fmt: str) -> str:
 def _render_files(result: CommandResult, fmt: str) -> list[tuple[str, str]]:
     if fmt == "json":
         if result.report is not None:
-            return [("report.json", _json_text(_nulls(result.report)))]
+            return [("report.json", _json_text(result.report))]
         return [(f"{t.name}.json", _json_text(_table_doc(t)))
                 for t in result.tables]
     return [(f"{t.name}.csv", _table_csv(t)) for t in result.tables]

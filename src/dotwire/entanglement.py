@@ -126,13 +126,16 @@ def high_c_curve(kd_values, gamma_prime: float) -> list[tuple[float, float]]:
 
         delta(kd) = -(1 + gamma_prime) * tan(kd) / 2
 
-    Raises TangentPole if any kd sits within 1e-6 of an odd multiple of
-    pi/2, where the curve runs off to infinite detuning.
+    Raises ValueError for a non-finite kd, and TangentPole if any kd sits
+    within 1e-6 of an odd multiple of pi/2, where the curve runs off to
+    infinite detuning.
     """
     _check_gamma_prime(gamma_prime)
     out = []
     for kd in kd_values:
         kd = float(kd)
+        if not math.isfinite(kd):
+            raise ValueError(f"kd must be finite, got {kd}")
         folded = abs(math.remainder(kd, math.pi))
         if abs(folded - math.pi / 2) < _POLE_TOL:
             raise TangentPole(

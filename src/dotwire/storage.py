@@ -164,12 +164,10 @@ def storage_time_grid(params: StorageParams) -> np.ndarray:
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
-def gaussian_input(
-    t_grid: np.ndarray, sigma_t: float, t_peak: float | None = None
-) -> np.ndarray:
-    """Unit-norm Gaussian envelope (integral of envelope^2 is 1)."""
-    if t_peak is None:
-        t_peak = _PEAK_SIGMAS * sigma_t
+def gaussian_input(t_grid: np.ndarray, sigma_t: float) -> np.ndarray:
+    """Unit-norm Gaussian envelope (integral of envelope^2 is 1) peaking at
+    5 sigma_t."""
+    t_peak = _PEAK_SIGMAS * sigma_t
     return (2.0 * math.pi * sigma_t**2) ** (-0.25) * np.exp(
         -((t_grid - t_peak) ** 2) / (4.0 * sigma_t**2)
     )
@@ -227,11 +225,16 @@ def impedance_matched_pulse(
     return MatchedPulse(omega=omega, stored_amplitude=cm)
 
 
-def _input_modes(
-    params: StorageParams, nu: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Per-branch mode amplitudes whose emitted-frame field reproduces the
-    Gaussian envelope with total norm 1 (both branches together)."""
+def _matched_control(params: StorageParams, t_grid: np.ndarray) -> np.ndarray:
+    """The impedance-matched control for the default Gaussian envelope."""
+    envelope = gaussian_input(t_grid, params.sigma_t)
+    return impedance_matched_pulse(params.pulse_ratio, t_grid, envelope).omega
+
+
+def _input_modes(params: StorageParams, nu: np.ndarray) -> np.ndarray:
+    """Per-branch mode amplitudes on the uniform grid nu whose emitted-frame
+    field reproduces the Gaussian envelope with total norm 1 (both branches
+    together)."""
     sigma_w = 1.0 / (2.0 * params.sigma_t)
     t_peak = _PEAK_SIGMAS * params.sigma_t
     eh = (
@@ -240,18 +243,7 @@ def _input_modes(
         * np.exp(-(nu**2) / (4.0 * sigma_w**2))
         * np.exp(1j * nu * t_peak)
     )
-    return np.sqrt(weights) * eh / math.sqrt(math.pi) / 2.0
-
-
-def _check_step(dt: float, generators: np.ndarray, what: str) -> None:
-    """StepTooLarge when dt * max ||G||_2 over the stack of kick generators
-    exceeds _COUPLING_STEP_LIMIT; what ends the message with the remedy."""
-    rate = float(np.max(np.linalg.norm(generators, 2, axis=(-2, -1))))
-    if dt * rate > _COUPLING_STEP_LIMIT:
-        raise StepTooLarge(
-            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
-            f"rad/step (limit {_COUPLING_STEP_LIMIT}); {what}"
-        )
+    return math.sqrt(params.dk) * eh / math.sqrt(math.pi) / 2.0
 
 
 def _chirp_sum(a: np.ndarray, theta: float, m: int) -> np.ndarray:
@@ -278,7 +270,8 @@ def _kicks(dt: float, a: float, gp: float, om: np.ndarray):
     G = [[0, a, 0], [a, -i*gp/2, om], [0, conj(om), 0]] on (span, bright
     excited, metastable) has the null vector v0 = (om, 0, -a)/r with
     r = sqrt(a^2 + |om|^2). On u1 = (0, 1, 0) and u2 = (a, 0, conj(om))/r it
-    acts as M = [[-i*gp/2, r], [r, 0]], whose exponential is
+    acts as M = [[-i*gp/2, r], [r, 0]], so G is unitarily 0 + M and
+    ||G||_2 = ||M||_2 = |gp|/4 + sqrt(gp^2/16 + r^2). The exponential of M is
     X = exp(-dt*gp/4) * [cos(dt*mu) - i*sin(dt*mu)/mu * (M + i*gp/4)] with
     mu = sqrt(r^2 - gp^2/16). So with kap = a/r, w = om/r, z = X22 - 1,
     x11 = X11 and x12 = X12 = X21 the kick is
@@ -300,10 +293,12 @@ def _run_lattice(
     params: StorageParams,
     t_grid: np.ndarray,
     omega: np.ndarray,
-    f_in: np.ndarray | None,
+    nu: np.ndarray,
+    f_in: np.ndarray,
     metastable0: float,
 ) -> StorageRun:
-    """Shared engine: one Strang step per interval of t_grid on n + 2 states.
+    """Shared engine: one Strang step per interval of t_grid on n + 2 states,
+    from the input modes f_in of one branch on the uniform mode grid nu.
 
     Both branches obey the same equation from the same start, and the
     antisymmetric emitter and metastable pair is a closed subsystem that
@@ -314,7 +309,8 @@ def _run_lattice(
     exact kick and the second half phase. The kick acts on span(q), q =
     g/|g|, and the two amplitudes, where it is the 3x3 generator
     G = [[0, |g|, 0], [|g|, -i*gp/2, om], [0, conj(om), 0]] with om the
-    midpoint average of omega over the interval (closed form in _kicks).
+    midpoint average of omega over the interval (closed form in _kicks),
+    with ||G||_2 = |gp|/4 + sqrt(gp^2/16 + |g|^2 + |om|^2).
     omega is sampled only on the grid, so the control is second-order
     accurate, and so is the step.
 
@@ -335,10 +331,10 @@ def _run_lattice(
     the memory inside the block.
 
     ValueError unless omega is finite and sampled on t_grid. StepTooLarge
-    when dt * max ||G||_2 exceeds 0.25 rad (the control is too strong for
-    its sampling step), NotConverged if the norm of field and amplitudes
-    grows by more than 1e-9 relative, which the lossy dynamics here cannot
-    do.
+    when dt * ||G||_2 at the largest |om| exceeds 0.25 rad (the control is
+    too strong for its sampling step), NotConverged if the norm of field
+    and amplitudes grows by more than 1e-9 relative, which the lossy
+    dynamics here cannot do.
     """
     omega = np.asarray(omega)
     if omega.shape != t_grid.shape:
@@ -348,33 +344,25 @@ def _run_lattice(
         )
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite at every sample")
-    grid = uniform_mode_grid(params.half_width, params.dk)
-    nu = grid.nu
     # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
-    g = 2.0 * np.sqrt(0.5 * GAMMA_PL * grid.weights / (4.0 * math.pi))
-    g_norm = float(np.linalg.norm(g))
+    g = np.full(nu.shape, 2.0 * math.sqrt(
+        0.5 * GAMMA_PL * params.dk / (4.0 * math.pi)
+    ))
+    g_norm = math.sqrt(g.dot(g))
     q = g / g_norm
     gp = params.gamma_prime
 
-    if f_in is None:
-        f_in = np.zeros(nu.size, dtype=complex)
     dt = float(t_grid[1] - t_grid[0])
     n_steps = t_grid.size - 1
     om_mid = 0.5 * (omega[:-1] + omega[1:])
-
-    def generators(om: np.ndarray) -> np.ndarray:
-        gen = np.zeros((om.size, 3, 3), dtype=complex)
-        gen[:, 0, 1] = gen[:, 1, 0] = g_norm
-        gen[:, 1, 1] = -0.5j * gp
-        gen[:, 1, 2] = om
-        gen[:, 2, 1] = np.conj(om)
-        return gen
-
-    # ||G||_2 depends on om only through |om| and is convex in it, so its
-    # largest value over the run sits at the smallest or largest |om|
-    mag = np.abs(om_mid)
-    _check_step(dt, generators(np.array([mag.min(), mag.max()])),
-                "the control is too strong for its sampling step")
+    r = math.hypot(g_norm, float(np.max(np.abs(om_mid))))
+    rate = 0.25 * abs(gp) + math.sqrt(gp * gp / 16.0 + r * r)
+    if dt * rate > _COUPLING_STEP_LIMIT:
+        raise StepTooLarge(
+            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
+            f"rad/step (limit {_COUPLING_STEP_LIMIT}); the control is too "
+            f"strong for its sampling step"
+        )
 
     # nu_k = nu_0 + k*dnu, as np.arange builds it
     theta = float(nu[1] - nu[0]) * dt
@@ -442,13 +430,10 @@ def simulate_storage(
     omega must be finite and sampled on storage_time_grid (ValueError)."""
     t_grid = storage_time_grid(params)
     if omega is None:
-        envelope = gaussian_input(t_grid, params.sigma_t)
-        omega = impedance_matched_pulse(
-            params.pulse_ratio, t_grid, envelope
-        ).omega
-    grid = uniform_mode_grid(params.half_width, params.dk)
-    f_in = _input_modes(params, grid.nu, grid.weights)
-    return _run_lattice(params, t_grid, omega, f_in, metastable0=0.0)
+        omega = _matched_control(params, t_grid)
+    nu = uniform_mode_grid(params.half_width, params.dk).nu
+    return _run_lattice(params, t_grid, omega, nu, _input_modes(params, nu),
+                        metastable0=0.0)
 
 
 def verify_population_identity(
@@ -480,24 +465,22 @@ def retrieve(
 
     Returns the emitted field norm (bounded by stored_amplitude^2 times the
     retrieval efficiency) and its overlap with the time-reversed input
-    envelope profile. A given omega must be finite and sampled on
-    storage_time_grid (ValueError).
+    envelope profile: the time-reversed input is, at the end of the run,
+    the conjugate of the input modes. stored_amplitude must be finite and
+    a given omega finite and sampled on storage_time_grid (ValueError).
     """
+    if not np.isfinite(stored_amplitude):
+        raise ValueError(
+            f"stored_amplitude must be finite, got {stored_amplitude}"
+        )
     t_grid = storage_time_grid(params)
     if omega is None:
-        envelope = gaussian_input(t_grid, params.sigma_t)
-        omega = impedance_matched_pulse(
-            params.pulse_ratio, t_grid, envelope
-        ).omega[::-1].copy()
-    run = _run_lattice(params, t_grid, omega, None, metastable0=stored_amplitude)
+        omega = _matched_control(params, t_grid)[::-1]
+    nu = uniform_mode_grid(params.half_width, params.dk).nu
+    run = _run_lattice(params, t_grid, omega, nu,
+                       np.zeros(nu.size, dtype=complex), stored_amplitude)
     emitted_norm = run.output_norm
-
-    sigma_w = 1.0 / (2.0 * params.sigma_t)
-    t_peak = _PEAK_SIGMAS * params.sigma_t
-    t_end = float(t_grid[-1])
-    ref = np.exp(-run.nu**2 / (4.0 * sigma_w**2)) * np.exp(
-        1j * run.nu * (t_end - t_peak)
-    ) * np.exp(-1j * run.nu * t_end)
+    ref = _input_modes(params, nu).conj()
     ref /= math.sqrt(float(np.sum(np.abs(ref) ** 2)))
     overlap = abs(np.vdot(ref, run.field / math.sqrt(emitted_norm)))
-    return RetrievalResult(emitted_norm=emitted_norm, overlap=overlap)
+    return RetrievalResult(emitted_norm=emitted_norm, overlap=float(overlap))

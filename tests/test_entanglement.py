@@ -88,6 +88,11 @@ class TestHighCCurve:
         with pytest.raises(ValueError):
             high_c_curve([1.0], -0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spacing_rejected(self, value):
+        with pytest.raises(ValueError, match="kd must be finite"):
+            high_c_curve([1.0, value], 0.05)
+
 
 class TestConcurrenceMap:
     def test_unit_concurrence_on_npi_verticals(self):

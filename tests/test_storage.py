@@ -20,6 +20,7 @@ from dotwire.storage import (
     StorageParams,
     _chirp_sum,
     _kicks,
+    _run_lattice,
     gaussian_input,
     impedance_matched_pulse,
     retrieve,
@@ -153,6 +154,30 @@ class TestStorageEfficiency:
         # users cannot set the storage step, so the message blames the control
         with pytest.raises(StepTooLarge, match="control is too strong"):
             simulate_storage(p, omega=np.full(t.shape, 100.0))
+
+    def test_step_bound_is_the_spectral_norm_of_the_kick_generator(self):
+        # the bound is ||G||_2 in closed form; find by bisection the constant
+        # |om| at which the dense dt * ||G||_2 reaches the 0.25 rad limit
+        p = StorageParams(pulse_ratio=5.0)
+        t = storage_time_grid(p)
+        dt = t[1] - t[0]
+        weights = uniform_mode_grid(p.half_width, p.dk).weights
+        a = float(np.linalg.norm(
+            2.0 * np.sqrt(0.5 * GAMMA_PL * weights / (4.0 * math.pi))
+        ))
+
+        def turn(om):
+            gen = np.array([[0.0, a, 0.0], [a, -0.5j * p.gamma_prime, om],
+                            [0.0, om, 0.0]])
+            return dt * np.linalg.norm(gen, 2)
+
+        lo, hi = 0.0, 100.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if turn(mid) < 0.25 else (lo, mid)
+        simulate_storage(p, omega=np.full(t.shape, 0.999 * lo))
+        with pytest.raises(StepTooLarge, match="control is too strong"):
+            simulate_storage(p, omega=np.full(t.shape, 1.001 * lo))
 
     def test_norm_growth_raises(self, monkeypatch):
         # gain on the bright level passes the step check; the norm check
@@ -310,3 +335,32 @@ class TestRetrieval:
         result = retrieve(p, math.sqrt(stored.efficiency))
         assert result.emitted_norm == pytest.approx(0.8186, abs=1e-3)
         assert result.overlap > 0.99
+        assert type(result.overlap) is float
+
+    @pytest.mark.parametrize("pulse_ratio, sigma_t", [(10.0, 10.0),
+                                                      (5.0, 20.0)])
+    def test_overlap_is_with_the_time_reversed_gaussian(self, pulse_ratio,
+                                                         sigma_t):
+        p = StorageParams(pulse_ratio=pulse_ratio, sigma_t=sigma_t)
+        t = storage_time_grid(p)
+        omega = impedance_matched_pulse(
+            pulse_ratio, t, gaussian_input(t, sigma_t)
+        ).omega[::-1]
+        nu = uniform_mode_grid(p.half_width, p.dk).nu
+        field = _run_lattice(p, t, omega, nu, np.zeros(nu.size, complex),
+                             0.9).field
+        # the time-reversed envelope written out: a Gaussian spectrum peaking
+        # at t_end - t_peak, seen in the frame of the end of the run
+        sigma_w = 1.0 / (2.0 * sigma_t)
+        t_peak, t_end = 5.0 * sigma_t, t[-1]
+        ref = np.exp(-nu**2 / (4.0 * sigma_w**2)) * np.exp(
+            1j * nu * (t_end - t_peak)
+        ) * np.exp(-1j * nu * t_end)
+        ref /= np.linalg.norm(ref)
+        expected = abs(np.vdot(ref, field / np.linalg.norm(field)))
+        assert abs(retrieve(p, 0.9).overlap - expected) <= 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stored_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="stored_amplitude must be"):
+            retrieve(StorageParams(pulse_ratio=10.0), value)
