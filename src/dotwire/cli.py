@@ -13,7 +13,7 @@ Global flags (before the subcommand): --config INI, --out DIR,
 --format csv|json. Exit codes: 0 success, 1 configuration or usage error,
 2 contract violation (singular point, bandwidth too wide, verification over
 tolerance, ...), 3 numerical failure (grid too coarse, step too large, probe
-setup infeasible).
+setup infeasible). A library error exits with its class's ``exit_code``.
 
 Without --out, tables print to stdout (multiple tables are separated by
 "# <name>" comment lines). With --out DIR, each table becomes a file in
@@ -40,36 +40,13 @@ from pathlib import Path
 from . import __version__
 from .config import OPTIONS, Option, load_config
 from .entanglement import concurrence_map, phase_scan
-from .errors import (
-    BandwidthTooWide,
-    ConfigError,
-    EmptyProjection,
-    GridTooCoarse,
-    NoMinimumInBracket,
-    NoPeakInBracket,
-    NotConverged,
-    PopulationUnderflow,
-    SingularSystem,
-    StepTooLarge,
-    TangentPole,
-)
+from .errors import ConfigError, NotConverged
 from .model import ModelParams, solve_single_dot, solve_two_dot
 from .spectra import _linspace, peak_position_curve, sweep_detuning
 
 __all__ = ["main"]
 
 PI = math.pi
-
-_CONTRACT_ERRORS = (
-    SingularSystem,
-    NoPeakInBracket,
-    NoMinimumInBracket,
-    TangentPole,
-    EmptyProjection,
-    BandwidthTooWide,
-    PopulationUnderflow,
-)
-_NUMERICAL_ERRORS = (GridTooCoarse, StepTooLarge, NotConverged)
 
 _ORACLE_KD = (0.5 * PI, 0.65 * PI, PI, 1.35 * PI, 2.0 * PI)
 _ORACLE_DELTA = (-2.0, -1.3, 1.2, 1.7, 2.3)
@@ -379,40 +356,18 @@ _COMMANDS = {
 }
 
 
-def _integer_types() -> tuple[type, ...]:
-    """The types a cell prints as an integer: int and bool, and numpy's
-    integer and bool scalars once numpy is loaded (before that, no numpy
-    scalar can exist)."""
-    np = sys.modules.get("numpy")
-    return (int,) if np is None else (int, np.integer, np.bool_)
-
-
-def _csv_cell(value, integers: tuple[type, ...]) -> str:
-    if isinstance(value, integers):
-        return str(int(value))
-    return f"{float(value):.17e}"
-
-
-def _json_cell(value, integers: tuple[type, ...]):
-    return int(value) if isinstance(value, integers) else float(value)
+def _csv_cell(value: int | float) -> str:
+    return str(value) if isinstance(value, int) else f"{value:.17e}"
 
 
 def _table_csv(table: Table) -> str:
-    integers = _integer_types()
     lines = [",".join(table.columns)]
-    lines.extend(
-        ",".join(_csv_cell(v, integers) for v in row) for row in table.rows
-    )
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
 def _table_doc(table: Table) -> dict:
-    integers = _integer_types()
-    return {
-        "columns": table.columns,
-        "rows": [[_json_cell(v, integers) for v in row]
-                 for row in table.rows],
-    }
+    return {"columns": table.columns, "rows": table.rows}
 
 
 def _json_text(doc) -> str:
@@ -520,15 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         result = _COMMANDS[args.command][0](effective)
-    except _CONTRACT_ERRORS as exc:
+    except ValueError as exc:  # every DotwireError included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
     finally:
         root.removeHandler(collector)
     wall_time = time.perf_counter() - started

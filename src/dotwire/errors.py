@@ -1,13 +1,8 @@
 """Exception hierarchy.
 
 Every failure the library can diagnose raises a subclass of
-:class:`DotwireError`, so callers can catch one type. The CLI maps
-:class:`ConfigError` to exit code 1; contract violations (a singular
-parameter point, no peak or minimum in the bracket, a tangent pole, an empty
-projection, a too-wide pulse bandwidth, a population underflow) and
-verification failures detected by commands themselves to exit code 2; and
-numerical failures (a too-coarse grid, a too-large step, no convergence) to
-exit code 3.
+:class:`DotwireError`, so callers can catch one type. Each class's
+``exit_code`` is the CLI's exit status when a command raises it.
 """
 
 from __future__ import annotations
@@ -31,6 +26,8 @@ __all__ = [
 class DotwireError(ValueError):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class ConfigError(DotwireError):
     """Invalid configuration: unknown keys, malformed values, bad ranges."""
@@ -43,25 +40,37 @@ class SingularSystem(DotwireError):
     exactly on resonance at kd = n*pi); reported explicitly, never regularized.
     """
 
+    exit_code = 2
+
 
 class NoPeakInBracket(DotwireError):
     """Reflection is monotone on the bracket; no interior maximum exists."""
+
+    exit_code = 2
 
 
 class NoMinimumInBracket(DotwireError):
     """No resonant-tunneling minimum exists inside the bracket."""
 
+    exit_code = 2
+
 
 class TangentPole(DotwireError):
     """kd is too close to an odd multiple of pi/2 where tan(kd) diverges."""
+
+    exit_code = 2
 
 
 class EmptyProjection(DotwireError):
     """Both emitter amplitudes are numerically zero; no post-selection."""
 
+    exit_code = 2
+
 
 class GridTooCoarse(DotwireError):
     """The mode grid cannot support the requested accuracy."""
+
+    exit_code = 3
 
 
 class StepTooLarge(DotwireError):
@@ -74,14 +83,22 @@ class StepTooLarge(DotwireError):
     series, which has no step, and never raises it.
     """
 
+    exit_code = 3
+
 
 class NotConverged(DotwireError):
     """Time evolution ended before the emitter populations decayed."""
+
+    exit_code = 3
 
 
 class PopulationUnderflow(DotwireError):
     """Pulse inversion hit the population floor at an active point."""
 
+    exit_code = 2
+
 
 class BandwidthTooWide(DotwireError):
     """Input field bandwidth violates the quasi-monochromatic bound."""
+
+    exit_code = 2

@@ -214,14 +214,20 @@ def _reflection_poles(params: ModelParams) -> list[tuple[complex, complex]]:
     return [(c, z) for c, z in terms if abs(c) > _RESIDUE_FLOOR * GAMMA_PL]
 
 
-def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
-    """e = exp(i*kd) and w = i*(GAMMA_PL*e + Gamma_SR)/2."""
+def _phase_and_collective(params: ModelParams) -> tuple[complex, complex]:
+    """e = exp(i*kd) and the collective term s_sr = i*Gamma_SR/2."""
     e = cmath.exp(1j * params.kd)
     s_sr = (
         0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
         if params.include_superradiance
         else 0.0j
     )
+    return e, s_sr
+
+
+def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
+    """e = exp(i*kd) and w = i*(GAMMA_PL*e + Gamma_SR)/2."""
+    e, s_sr = _phase_and_collective(params)
     return e, 0.5j * GAMMA_PL * e + s_sr
 
 
@@ -246,12 +252,7 @@ def relation_residual(
     """
     g = G_COUPLING
     gp = params.gamma_prime
-    e = cmath.exp(1j * params.kd)
-    s_sr = (
-        0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
-        if params.include_superradiance
-        else 0.0j
-    )
+    e, s_sr = _phase_and_collective(params)
     d_loss = params.delta + 0.5j * gp
     g_over_iv = g / (1j * V_G)
 

@@ -467,7 +467,8 @@ def retrieve(
     retrieval efficiency) and its overlap with the time-reversed input
     envelope profile: the time-reversed input is, at the end of the run,
     the conjugate of the input modes. stored_amplitude must be finite and
-    a given omega finite and sampled on storage_time_grid (ValueError).
+    a given omega finite and sampled on storage_time_grid, and the run must
+    emit something (ValueError).
     """
     if not np.isfinite(stored_amplitude):
         raise ValueError(
@@ -480,6 +481,8 @@ def retrieve(
     run = _run_lattice(params, t_grid, omega, nu,
                        np.zeros(nu.size, dtype=complex), stored_amplitude)
     emitted_norm = run.output_norm
+    if emitted_norm == 0.0:
+        raise ValueError("nothing was emitted, so the overlap is undefined")
     ref = _input_modes(params, nu).conj()
     ref /= math.sqrt(float(np.sum(np.abs(ref) ** 2)))
     overlap = abs(np.vdot(ref, run.field / math.sqrt(emitted_norm)))

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from dotwire import cli, lattice
+from dotwire import cli, errors, lattice
 from dotwire.cli import main
 from dotwire.errors import NotConverged
 from dotwire.model import solve_single_dot
@@ -223,12 +223,36 @@ class TestNanHandling:
 
 
 class TestCellFormat:
-    def test_numpy_integers_and_bools_print_as_integers(self):
-        np = pytest.importorskip("numpy")
-        table = cli.Table("t", ["i", "b", "x"],
-                          [[np.int64(3), np.bool_(True), np.float64(0.5)]])
-        assert cli._table_csv(table) == "i,b,x\n3,1,5.00000000000000000e-01\n"
-        assert cli._table_doc(table)["rows"] == [[3, 1, 0.5]]
+    SMALL = [
+        ["spectrum", "--sr", "both", "--n-points", "3"],
+        ["peaks", "--n-kd", "3"],
+        ["concurrence-map", "--n-kd", "3", "--n-delta", "3"],
+        TestNanHandling.SINGULAR,
+        ["phase", "--n-points", "3"],
+        ["oracle-verify", "--quick"],
+        ["storage", "--pulse-ratio", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", SMALL, ids=lambda argv: argv[0])
+    def test_every_cell_is_a_builtin_int_or_float(
+        self, capsys, monkeypatch, argv
+    ):
+        # The writers print a cell as the value it is, so each command must
+        # hand them built-in ints and floats only: no bool, no numpy scalar.
+        results = []
+        command, help_text = cli._COMMANDS[argv[0]]
+
+        def recording(p):
+            results.append(command(p))
+            return results[-1]
+
+        monkeypatch.setitem(cli._COMMANDS, argv[0], (recording, help_text))
+        code, _, _ = run_main(capsys, "--format", "csv", *argv)
+        assert code == 0
+        (result,) = results
+        cells = [v for t in result.tables for row in t.rows for v in row]
+        assert cells
+        assert {type(v) for v in cells} <= {int, float}
 
 
 class TestOracleReport:
@@ -319,6 +343,31 @@ class TestExitCodeContracts:
         )
         assert code == 3
         assert "error:" in err
+
+    # the README's exit-code table, class by class
+    EXIT_CODES = {
+        "DotwireError": 1, "ConfigError": 1,
+        "SingularSystem": 2, "NoPeakInBracket": 2, "NoMinimumInBracket": 2,
+        "TangentPole": 2, "EmptyProjection": 2, "PopulationUnderflow": 2,
+        "BandwidthTooWide": 2,
+        "GridTooCoarse": 3, "StepTooLarge": 3, "NotConverged": 3,
+    }
+
+    def test_table_names_every_error_class(self):
+        assert set(self.EXIT_CODES) == set(errors.__all__)
+
+    @pytest.mark.parametrize("name", [*errors.__all__, "ValueError"])
+    def test_raised_class_sets_exit_code(self, capsys, monkeypatch, name):
+        error = getattr(errors, name, ValueError)
+
+        def failing(p):
+            raise error(f"{name} raised")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (failing, ""))
+        code, out, err = run_main(capsys, *TINY)
+        assert code == self.EXIT_CODES.get(name, 1)
+        assert out == ""
+        assert err == f"error: {name} raised\n"
 
 
 class TestOutDirAndManifest:

@@ -364,3 +364,13 @@ class TestRetrieval:
     def test_non_finite_stored_amplitude_rejected(self, value):
         with pytest.raises(ValueError, match="stored_amplitude must be"):
             retrieve(StorageParams(pulse_ratio=10.0), value)
+
+    @pytest.mark.parametrize("case", ["nothing stored", "no control"])
+    def test_nothing_emitted_rejected(self, case):
+        p = StorageParams(pulse_ratio=10.0)
+        if case == "nothing stored":
+            args = (0.0, None)
+        else:
+            args = (0.9, np.zeros_like(storage_time_grid(p)))
+        with pytest.raises(ValueError, match="nothing was emitted"):
+            retrieve(p, *args)
