@@ -19,51 +19,15 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .entanglement import (
-    ConcurrenceCell,
-    PhasePoint,
-    ProjectedState,
-    concurrence_map,
-    high_c_curve,
-    phase_scan,
-    project_state,
-)
-from .errors import (
-    BandwidthTooWide,
-    ConfigError,
-    DotwireError,
-    EmptyProjection,
-    GridTooCoarse,
-    NoMinimumInBracket,
-    NoPeakInBracket,
-    NotConverged,
-    PopulationUnderflow,
-    SingularSystem,
-    StepTooLarge,
-    TangentPole,
-)
-from .model import (
-    GAMMA_PL,
-    G_COUPLING,
-    V_G,
-    ModelParams,
-    ScatteringSolution,
-    relation_residual,
-    solve_single_dot,
-    solve_two_dot,
-    superradiant_rate,
-)
-from .spectra import (
-    PeakRecord,
-    SpectrumRow,
-    peak_position_curve,
-    reflection_minimum,
-    reflection_peak,
-    sweep_detuning,
-)
+from . import entanglement, errors, model, spectra
+from .entanglement import *
+from .errors import *
+from .model import *
+from .spectra import *
 
 # lattice and storage load numpy; their names are imported on first use,
-# so that the closed-form path starts without it
+# so that the closed-form path starts without it (LatticeSystem,
+# build_hamiltonian and evolve are not exported)
 _LAZY = {
     **dict.fromkeys((
         "ModeGrid",
@@ -107,64 +71,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # constants
-    "GAMMA_PL",
-    "G_COUPLING",
-    "V_G",
-    # scattering model
-    "ModelParams",
-    "ScatteringSolution",
-    "solve_two_dot",
-    "solve_single_dot",
-    "superradiant_rate",
-    "relation_residual",
-    # spectra
-    "SpectrumRow",
-    "PeakRecord",
-    "sweep_detuning",
-    "reflection_peak",
-    "reflection_minimum",
-    "peak_position_curve",
-    # entanglement
-    "ProjectedState",
-    "ConcurrenceCell",
-    "PhasePoint",
-    "project_state",
-    "concurrence_map",
-    "high_c_curve",
-    "phase_scan",
-    # lattice oracle
-    "ModeGrid",
-    "WavepacketSpec",
-    "OracleResult",
-    "NoJumpReport",
-    "make_mode_grid",
-    "uniform_mode_grid",
-    "scattering_oracle",
-    "gamma_pm",
-    "no_jump_equivalence",
-    # storage
-    "StorageParams",
-    "StorageRun",
-    "MatchedPulse",
-    "RetrievalResult",
-    "storage_time_grid",
-    "gaussian_input",
-    "impedance_matched_pulse",
-    "simulate_storage",
-    "verify_population_identity",
-    "retrieve",
-    # errors
-    "DotwireError",
-    "ConfigError",
-    "SingularSystem",
-    "NoPeakInBracket",
-    "NoMinimumInBracket",
-    "TangentPole",
-    "EmptyProjection",
-    "GridTooCoarse",
-    "StepTooLarge",
-    "NotConverged",
-    "PopulationUnderflow",
-    "BandwidthTooWide",
+    *model.__all__,
+    *spectra.__all__,
+    *entanglement.__all__,
+    *_LAZY,
+    *errors.__all__,
 ]

@@ -24,7 +24,7 @@ is designed to expose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import EmptyProjection, SingularSystem, TangentPole
 from .model import (
@@ -158,13 +158,7 @@ def concurrence_map(
     cells = []
     for kd in kd_values:
         kd = float(kd)
-        params = ModelParams(
-            kd=kd,
-            gamma0=params_base.gamma0,
-            gamma_nr=params_base.gamma_nr,
-            k0d=params_base.k0d,
-            include_superradiance=params_base.include_superradiance,
-        )
+        params = replace(params_base, kd=kd)
         e, w = _phase_and_coupling(params)
         gamma_prime = params.gamma_prime
         for delta in delta_values:

@@ -73,7 +73,6 @@ _LINE_HALF = 1.6
 _DK_LINE = 1e-2
 _N_OUTER = 40
 _GRID_HALF_WIDTH = 3.5
-_LINE_TOL = 0.01
 _DOT_POP_STOP = 1e-8
 _DOT_POP_FAIL = 1e-6
 _MAX_CHUNKS = 40
@@ -269,33 +268,8 @@ def _trapezoid_weights(nu: np.ndarray) -> np.ndarray:
     return w
 
 
-def build_hamiltonian(
-    grid: ModeGrid,
-    params: ModelParams,
-    line_check: bool = True,
-) -> LatticeSystem:
-    """Assemble the two-branch, two-emitter lattice at params.delta carrier.
-
-    With line_check=True the grid must reproduce the guided decay rate at
-    the emitter line to within 1%, estimated by smearing the line over
-    eta = 0.5: Gamma_est = (GAMMA_PL/pi) * sum w * eta / (nu^2 + eta^2).
-    This catches both window truncation and undersampling; GridTooCoarse
-    otherwise. Scattering runs disable it — their narrow window is corrected
-    exactly by the principal-value counterterm, and packet resolution is
-    gated separately in scattering_oracle.
-    """
-    if line_check:
-        eta = 0.5
-        gamma_est = GAMMA_PL / math.pi * float(
-            np.sum(grid.weights * eta / (grid.nu**2 + eta**2))
-        )
-        if abs(gamma_est - GAMMA_PL) > _LINE_TOL * GAMMA_PL:
-            raise GridTooCoarse(
-                f"grid reproduces the guided rate as {gamma_est:.4f} "
-                f"(want {GAMMA_PL} within {_LINE_TOL:.0%}); widen the window "
-                f"or refine the spacing"
-            )
-
+def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:
+    """Assemble the two-branch, two-emitter lattice at params.delta carrier."""
     kap = grid.coupling_strengths()
     delta = params.delta
     phase = complex(math.cos(params.kd), math.sin(params.kd))
@@ -520,7 +494,7 @@ def scattering_oracle(
             f"only {n_band} modes resolve the packet band (need "
             f">= {_MIN_PACKET_MODES}); refine the grid or widen the packet"
         )
-    system = build_hamiltonian(grid, params, line_check=False)
+    system = build_hamiltonian(grid, params)
     carrier = np.flatnonzero(system.eps == 0.0)
     if carrier.size == 0:
         raise GridTooCoarse(

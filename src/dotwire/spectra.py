@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
 from .model import (
@@ -122,6 +122,13 @@ def _reflection(
         return abs(sum(c / (delta - z) for c, z in poles)) ** 2
 
 
+def _bracket(bracket: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = bracket
+    if not lo < hi:
+        raise ValueError(f"invalid bracket {bracket}")
+    return lo, hi
+
+
 def reflection_peak(
     params: ModelParams,
     bracket: tuple[float, float] = (-3.0, 3.0),
@@ -145,9 +152,7 @@ def reflection_peak(
     """
     import numpy as np  # only the peak search needs polynomial algebra
 
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
+    lo, hi = _bracket(bracket)
     poles = _reflection_poles(params)
     # num/den + c/(delta - z); num keeps a zero leading coefficient, so
     # the two stay of equal length and no derivative below is empty
@@ -196,10 +201,12 @@ def peak_position_curve(
     kd values within 1e-3 of an odd multiple of pi/2 are excluded (tangent
     poles push the peak out of any fixed bracket), and kd points where the
     bracket holds no interior maximum are skipped with a warning — never
-    interpolated. If params_base.k0d is None, k0d tracks kd.
+    interpolated. If params_base.k0d is None, k0d tracks kd. An empty
+    bracket raises ValueError before any kd is tried.
 
     Returns (records without collective term, records with it).
     """
+    _bracket(bracket)
     without: list[PeakRecord] = []
     with_sr: list[PeakRecord] = []
     for kd in kd_values:
@@ -209,14 +216,8 @@ def peak_position_curve(
             log.warning("skipping kd=%.6f: tangent pole", kd)
             continue
         for flag, out in ((False, without), (True, with_sr)):
-            p = ModelParams(
-                kd=kd,
-                delta=0.0,
-                gamma0=params_base.gamma0,
-                gamma_nr=params_base.gamma_nr,
-                k0d=params_base.k0d,
-                include_superradiance=flag,
-            )
+            p = replace(params_base, kd=kd, delta=0.0,
+                        include_superradiance=flag)
             try:
                 out.append(reflection_peak(p, bracket=bracket))
             except NoPeakInBracket:
@@ -249,9 +250,7 @@ def reflection_minimum(
     root delta_min ~ 1e-16 falls on the removable singularity of r, where
     R = 1.
     """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
+    lo, hi = _bracket(bracket)
     gp = params.gamma_prime
     tan = math.tan(params.kd)
     disc = tan * tan - gp * gp

@@ -111,6 +111,15 @@ class StorageParams:
             )
         if self.sigma_t <= 0 or self.dk <= 0 or self.half_width <= 0:
             raise ValueError("sigma_t, half_width, dk must all be > 0")
+        # the uniform mode grid returns every field it holds after 2 pi/dk
+        recurrence = 2.0 * math.pi / self.dk
+        if _SPAN_SIGMAS * self.sigma_t >= recurrence:
+            raise ValueError(
+                f"a run of {_SPAN_SIGMAS:g} sigma_t = "
+                f"{_SPAN_SIGMAS * self.sigma_t:g} outlasts the mode grid's "
+                f"recurrence time 2 pi/dk = {recurrence:.4g}; shorten "
+                f"sigma_t or refine dk"
+            )
 
     @property
     def gamma_prime(self) -> float:

@@ -64,6 +64,20 @@ class TestUsageErrors:
         assert code == 1
         assert "pulse_ratio" in err
 
+    def test_inverted_bracket_with_every_kd_skipped(self, capsys):
+        # kd = pi/2 is a tangent pole, so no peak search ever runs
+        code, out, err = run_main(
+            capsys, "peaks", "--kd-min", "1.5708", "--kd-max", "1.5708",
+            "--n-kd", "1", "--bracket-lo", "3", "--bracket-hi", "-3",
+        )
+        assert (code, out) == (1, "")
+        assert "invalid bracket (3.0, -3.0)" in err
+
+    def test_storage_run_outlasting_the_mode_recurrence(self, capsys):
+        code, out, err = run_main(capsys, "storage", "--sigma-t", "400")
+        assert (code, out) == (1, "")
+        assert "recurrence time" in err
+
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--kd", "nan"),
         ("peaks", "--gamma-nr", "nan"),

@@ -69,35 +69,17 @@ class TestModeGrids:
 
 
 class TestBuildHamiltonian:
-    def test_wide_uniform_grid_passes_line_check(self):
-        grid = uniform_mode_grid(50.0, 0.05)
-        build_hamiltonian(grid, ModelParams(kd=PI / 2))
-
-    def test_narrow_window_fails_line_check(self):
-        # the scattering grid is deliberately narrow; without the
-        # counterterm path it underestimates the guided rate by ~9%
-        grid = make_mode_grid(0.0)
-        with pytest.raises(GridTooCoarse):
-            build_hamiltonian(grid, ModelParams(kd=PI / 2))
-        build_hamiltonian(grid, ModelParams(kd=PI / 2), line_check=False)
-
-    def test_undersampled_grid_fails_line_check(self):
-        grid = uniform_mode_grid(50.0, 2.0)
-        with pytest.raises(GridTooCoarse):
-            build_hamiltonian(grid, ModelParams(kd=PI / 2))
-
     def test_hermitian_without_loss_or_collective_term(self):
         grid = uniform_mode_grid(3.0, 0.1)
         dense = build_hamiltonian(
-            grid, ModelParams(kd=0.8, delta=0.2), line_check=False
+            grid, ModelParams(kd=0.8, delta=0.2)
         ).to_dense()
         assert np.allclose(dense, dense.conj().T, atol=1e-15)
 
     def test_loss_only_on_emitter_diagonal(self):
         grid = uniform_mode_grid(3.0, 0.1)
         dense = build_hamiltonian(
-            grid, ModelParams(kd=0.8, delta=0.2, gamma_nr=0.05),
-            line_check=False,
+            grid, ModelParams(kd=0.8, delta=0.2, gamma_nr=0.05)
         ).to_dense()
         anti = dense - dense.conj().T
         expected = np.zeros_like(dense)
@@ -114,7 +96,8 @@ class TestSpectralInterval:
              ModelParams(kd=0.8, delta=0.2, gamma_nr=0.05)),
             (uniform_mode_grid(3.0, 0.1),
              ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
-                         k0d=0.8, include_superradiance=True)),
+                         k0d=0.8, include_superradiance=True),
+        ),
             (uniform_mode_grid(2.0, 0.05), ModelParams(kd=PI, delta=-0.3)),
             (uniform_mode_grid(2.0, 0.05),
              ModelParams(kd=2 * PI, delta=1.1, gamma_nr=0.05)),
@@ -124,7 +107,7 @@ class TestSpectralInterval:
              "mode grid"],
     )
     def test_encloses_the_hermitian_part_tightly(self, grid, params):
-        system = build_hamiltonian(grid, params, line_check=False)
+        system = build_hamiltonian(grid, params)
         dense = system.to_dense()
         eigs = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
         lo, hi = system.spectral_interval
@@ -143,7 +126,6 @@ class TestEvolve:
             grid,
             ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
                         k0d=0.8, include_superradiance=True),
-            line_check=False,
         )
 
     def random_state(self, system, seed):
@@ -153,9 +135,7 @@ class TestEvolve:
 
     def test_zero_steps_return_the_state_unchanged(self):
         grid = uniform_mode_grid(3.0, 0.1)
-        system = build_hamiltonian(
-            grid, ModelParams(kd=0.8, delta=0.2), line_check=False
-        )
+        system = build_hamiltonian(grid, ModelParams(kd=0.8, delta=0.2))
         rng = np.random.default_rng(5)
         psi = rng.normal(size=system.size) + 1j * rng.normal(size=system.size)
         # t = 0 skips the series: the state comes back exactly, as a copy
@@ -172,9 +152,7 @@ class TestEvolve:
 
     def test_lossless_evolution_conserves_norm(self):
         grid = uniform_mode_grid(3.0, 0.05)
-        system = build_hamiltonian(
-            grid, ModelParams(kd=PI / 2), line_check=False
-        )
+        system = build_hamiltonian(grid, ModelParams(kd=PI / 2))
         psi = np.zeros(system.size, dtype=complex)
         psi[-2] = 1.0
         out = evolve(system, psi, 10.0)
@@ -203,8 +181,7 @@ class TestEvolve:
         # gain on the emitter diagonal leaves the spectral interval of the
         # series in place; the a-posteriori norm check catches the growth
         grid = uniform_mode_grid(3.0, 0.1)
-        honest = build_hamiltonian(grid, ModelParams(kd=PI / 2),
-                                   line_check=False)
+        honest = build_hamiltonian(grid, ModelParams(kd=PI / 2))
         gaining = LatticeSystem(
             grid=honest.grid, eps=honest.eps, coupling=honest.coupling,
             dot_block=honest.dot_block + 0.05j * np.eye(2),

@@ -207,6 +207,11 @@ class TestPeakPositionCurve:
         )
         assert len(without) == len(with_sr) == p["n_kd"] == 46
 
+    def test_rejects_bad_bracket_when_every_kd_is_skipped(self):
+        base = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
+        with pytest.raises(ValueError, match=r"invalid bracket \(3.0, -3.0\)"):
+            peak_position_curve([PI / 2], base, bracket=(3.0, -3.0))
+
 
 class TestReflectionMinimum:
     def test_condition_matrix(self):

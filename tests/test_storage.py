@@ -48,6 +48,12 @@ class TestStorageParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             StorageParams(**fields)
 
+    def test_run_must_end_before_the_modes_recur(self):
+        # 11 sigma_t against the recurrence time 2 pi / 0.05 = 125.66
+        StorageParams(pulse_ratio=10.0, sigma_t=11.0, dk=0.05)
+        with pytest.raises(ValueError, match="recurrence time"):
+            StorageParams(pulse_ratio=10.0, sigma_t=11.5, dk=0.05)
+
     def test_derived_rates(self):
         p = StorageParams(pulse_ratio=20.0)
         assert p.gamma_prime == 0.05
