@@ -340,7 +340,7 @@ def _cmd_storage(p: dict) -> CommandResult:
 
     rows = [run(ratio) for ratio in p["pulse_ratio"]]
     return CommandResult(tables=[
-        Table("storage", ["P", "efficiency", "bound"], rows)
+        Table("storage", ["P", "efficiency", "design"], rows)
     ])
 
 

@@ -78,6 +78,12 @@ class TestUsageErrors:
         assert (code, out) == (1, "")
         assert "recurrence time" in err
 
+    def test_storage_run_shorter_than_one_control_step(self, capsys):
+        code, out, err = run_main(capsys, "storage", "--sigma-t", "0.001")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "shorter than one control step" in err
+
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--kd", "nan"),
         ("peaks", "--gamma-nr", "nan"),
@@ -532,10 +538,10 @@ class TestStorageCommand:
         code, out, _ = run_main(capsys, "storage", "--pulse-ratio", "5")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "P,efficiency,bound"
-        ratio, eff, bound = map(float, lines[1].split(","))
+        assert lines[0] == "P,efficiency,design"
+        ratio, eff, design = map(float, lines[1].split(","))
         assert ratio == 5.0
-        assert bound == pytest.approx(0.8)
+        assert design == pytest.approx(0.8)
         assert eff == pytest.approx(0.8, abs=5e-3)
 
 

@@ -15,6 +15,7 @@ from dotwire.errors import (
     StepTooLarge,
 )
 from dotwire.lattice import uniform_mode_grid
+from dotwire import storage
 from dotwire.model import GAMMA_PL, ModelParams, solve_two_dot
 from dotwire.storage import (
     StorageParams,
@@ -53,6 +54,12 @@ class TestStorageParams:
         StorageParams(pulse_ratio=10.0, sigma_t=11.0, dk=0.05)
         with pytest.raises(ValueError, match="recurrence time"):
             StorageParams(pulse_ratio=10.0, sigma_t=11.5, dk=0.05)
+
+    def test_run_must_span_one_control_step(self):
+        # 11 sigma_t against the control step 0.09 / 4 = 0.0225
+        StorageParams(pulse_ratio=5.0, sigma_t=0.0021)
+        with pytest.raises(ValueError, match="shorter than one control step"):
+            StorageParams(pulse_ratio=5.0, sigma_t=1e-3)
 
     def test_derived_rates(self):
         p = StorageParams(pulse_ratio=20.0)
@@ -281,6 +288,23 @@ class TestMemoryKernelEngine:
             omega = impedance_matched_pulse(
                 p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
             ).omega
+        run = simulate_storage(p, omega=omega)
+        field, e, m = _stepwise_splitting(p, omega, run.f_in)
+        assert abs(run.bright_e - e) < 1e-12
+        assert abs(run.bright_m - m) < 1e-12
+        assert np.max(np.abs(run.field - field)) < 1e-12
+
+    @pytest.mark.parametrize("block", [1, 7, 611, 5000])
+    def test_memory_partition_edges(self, monkeypatch, block):
+        # 2444 steps: one-step blocks, a ragged last block, blocks that
+        # divide the run exactly, and one block longer than the run
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
+        t = storage_time_grid(p)
+        assert t.size - 1 == 2444
+        omega = impedance_matched_pulse(
+            p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
+        ).omega
         run = simulate_storage(p, omega=omega)
         field, e, m = _stepwise_splitting(p, omega, run.f_in)
         assert abs(run.bright_e - e) < 1e-12
