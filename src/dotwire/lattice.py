@@ -64,16 +64,13 @@ _MIRROR_TOL = 1e-9
 # the packet starts _LAUNCH_SIGMAS * sigma_x before the emitters
 _LAUNCH_SIGMAS = 6.0
 # make_mode_grid: a core of spacing _DK_CORE at least _CORE_HALF either side
-# of the carrier (>= 203 modes within +-0.08 wherever it falls), a line patch
-# of spacing _DK_LINE over +-_LINE_HALF, and _N_OUTER log-spaced modes a side
-# out to +-_GRID_HALF_WIDTH
+# of the carrier (>= 203 modes within +-0.08 wherever it falls) inside one
+# line patch of spacing _DK_LINE over +-_LINE_HALF
 _CORE_HALF = 0.25
 _DK_CORE = 7.9e-4
-_LINE_HALF = 1.6
+_LINE_HALF = 2.5
 _DK_LINE = 1e-2
-_N_OUTER = 40
-_GRID_HALF_WIDTH = 3.5
-_DOT_POP_STOP = 1e-8
+_DOT_POP_STOP = 1e-10
 _DOT_POP_FAIL = 1e-6
 _MAX_CHUNKS = 40
 # the oracle's chunks end on whole multiples of _TICK time units, the first
@@ -86,7 +83,8 @@ _RING = 16
 # spectral_interval's edges lie outside the spectrum by at most twice
 # this, relative to the larger of its two starts
 _EDGE_PAD = 2.5e-7
-# Newton steps per edge before spectral_interval gives up (it takes 0-5)
+# Newton steps per edge before spectral_interval gives up (it takes about
+# 15-18 from a diagonal start)
 _EDGE_ITER = 50
 
 
@@ -155,12 +153,12 @@ class LatticeSystem:
 
         H_h = [[E, C], [C^H, D_h]] with E = diag(eps, eps), C = coupling and
         D_h the Hermitian part of dot_block. Each edge comes from the 2x2
-        secular equation of _secular_edge, started at the extreme eigenvalue
-        of the 4x4 principal submatrix of the outermost mode (both branches)
-        and the two emitters, which lies inside the spectrum by Cauchy
-        interlacing. The lower edge is the upper edge of -H_h. Each edge
-        lies outside the spectrum by at most 2 * _EDGE_PAD of the larger
-        start in magnitude, which is at most the spectral radius of H_h.
+        secular equation of _secular_edge, started at the extreme entry of
+        the diagonal [eps, Re diag D_h], which lies inside the spectrum (a
+        diagonal entry is a Rayleigh quotient). The lower edge is the upper
+        edge of -H_h. Each edge lies outside the spectrum by at most
+        2 * _EDGE_PAD of the larger start in magnitude, which is at most the
+        spectral radius of H_h.
         """
         n = self.grid.n_modes
         right, left = self.coupling[:n], self.coupling[n:]
@@ -173,17 +171,8 @@ class LatticeSystem:
             right[:, 0].conj() * right[:, 1] + left[:, 0].conj() * left[:, 1],
         ], axis=1)
         d_h = 0.5 * (self.dot_block + self.dot_block.conj().T)
-
-        def corner(k: int) -> np.ndarray:
-            sub = np.zeros((4, 4), dtype=complex)
-            sub[0, 0] = sub[1, 1] = self.eps[k]
-            sub[:2, 2:] = self.coupling[[k, n + k]]
-            sub[2:, :2] = sub[:2, 2:].conj().T
-            sub[2:, 2:] = d_h
-            return np.linalg.eigvalsh(sub)
-
-        start_lo = float(corner(int(np.argmin(self.eps)))[0])
-        start_hi = float(corner(int(np.argmax(self.eps)))[-1])
+        diag = np.concatenate([self.eps, np.diag(d_h).real])
+        start_lo, start_hi = float(np.min(diag)), float(np.max(diag))
         pad = _EDGE_PAD * max(abs(start_lo), abs(start_hi))
         hi = _secular_edge(self.eps, weights, d_h, start_hi, pad)
         lo = -_secular_edge(-self.eps, weights, -d_h, -start_lo, pad)
@@ -233,24 +222,18 @@ class NoJumpReport:
 
 
 def make_mode_grid(center: float) -> ModeGrid:
-    """Nonuniform grid for scattering runs: a uniform fine patch with a mode
-    exactly at the packet carrier `center`, a medium patch around the
-    emitter line at nu = 0 (without it, emission at the line lands on
-    sparse filler modes and quasi-recurs, stalling convergence), and
-    log-spaced filler out to +-3.5. Line-patch modes that would fall inside
-    the fine patch are left out, so the fine patch stays uniform."""
+    """Nonuniform grid for scattering runs: a uniform fine core with a mode
+    exactly at the packet carrier `center`, reaching at least 0.25 either
+    side of it, inside one uniform line patch of spacing 0.01 over +-2.5
+    around the emitter line at nu = 0 (emission at the line that lands on
+    sparse modes quasi-recurs, stalling convergence). Line-patch modes that
+    would fall inside the core are left out, so the core stays uniform;
+    where |center| > 2.25 the core reaches past the patch."""
     m = math.ceil(_CORE_HALF / _DK_CORE)
     core = center + _DK_CORE * np.arange(-m, m + 1)
     line = np.arange(-_LINE_HALF, _LINE_HALF + 0.5 * _DK_LINE, _DK_LINE)
     line = line[np.abs(line - center) > (m + 0.5) * _DK_CORE]
-    base = np.sort(np.concatenate([core, line]))
-    lo, hi = base[0], base[-1]
-    outer = []
-    for sign, edge in ((-1.0, lo), (1.0, hi)):
-        span = _GRID_HALF_WIDTH - sign * edge
-        if span > _DK_LINE:
-            outer.append(edge + sign * np.geomspace(_DK_LINE, span, _N_OUTER))
-    nu = np.sort(np.concatenate([base] + outer))
+    nu = np.sort(np.concatenate([core, line]))
     return ModeGrid(nu=nu, weights=_trapezoid_weights(nu))
 
 
@@ -476,7 +459,7 @@ def scattering_oracle(
     the carrier (GridTooCoarse otherwise). It is propagated in chunks, each
     one Chebyshev series (see evolve), that end on multiples of 0.025: the
     first once the packet has passed the emitters, then every 25.025, until
-    the emitter population has decayed below 1e-8, up to 40 chunks;
+    the emitter population has decayed below 1e-10, up to 40 chunks;
     NotConverged if the population is still above 1e-6 there.
     t and r are read at the carrier mode c, where nu = params.delta exactly:
     once the packet has passed, mode c holds its input amplitude f_c times t

@@ -16,7 +16,7 @@ from dotwire.errors import (
 )
 from dotwire.lattice import uniform_mode_grid
 from dotwire import storage
-from dotwire.model import GAMMA_PL, ModelParams, solve_two_dot
+from dotwire.model import GAMMA_PL
 from dotwire.storage import (
     StorageParams,
     _chirp_sum,
