@@ -93,7 +93,8 @@ class NotConverged(DotwireError):
 
 
 class PopulationUnderflow(DotwireError):
-    """Pulse inversion hit the population floor at an active point."""
+    """The matched design needs a negative stored population beyond the
+    floor's tolerance, or a control beyond its cap."""
 
     exit_code = 2
 

@@ -73,9 +73,6 @@ _DK_LINE = 1e-2
 _DOT_POP_STOP = 1e-10
 _DOT_POP_FAIL = 1e-6
 _MAX_CHUNKS = 40
-# the oracle's chunks end on whole multiples of _TICK time units, the first
-# once the packet has passed the emitters, the later ones every 25.025
-_TICK = 0.025
 # evolve cuts its Chebyshev series where the coefficients fall below this
 _SERIES_TOL = 1e-14
 # evolve adds the series terms to its sum this many at a time
@@ -457,8 +454,8 @@ def scattering_oracle(
 
     The packet must be resolved by at least 200 modes within +-4 sigma_k of
     the carrier (GridTooCoarse otherwise). It is propagated in chunks, each
-    one Chebyshev series (see evolve), that end on multiples of 0.025: the
-    first once the packet has passed the emitters, then every 25.025, until
+    one Chebyshev series (see evolve), that end at 11 sigma_x, once the
+    packet has passed the emitters, and then every 25 time units, until
     the emitter population has decayed below 1e-10, up to 40 chunks;
     NotConverged if the population is still above 1e-6 there.
     t and r are read at the carrier mode c, where nu = params.delta exactly:
@@ -504,16 +501,13 @@ def scattering_oracle(
     t_pass = (_LAUNCH_SIGMAS + 5.0) * packet.sigma_x
     started = time.perf_counter()
     n_steps = 0
-    ticks = 0
-    chunk = int(t_pass / _TICK) + 1
-    for _ in range(_MAX_CHUNKS):
-        psi, applied = _chebyshev(system, psi, chunk * _TICK)
+    t_final = 0.0
+    for chunk in [t_pass] + [25.0] * (_MAX_CHUNKS - 1):
+        psi, applied = _chebyshev(system, psi, chunk)
         n_steps += applied
-        ticks += chunk
-        chunk = int(25.0 / _TICK) + 1
+        t_final += chunk
         if float(np.sum(np.abs(psi[2 * n :]) ** 2)) < _DOT_POP_STOP:
             break
-    t_final = ticks * _TICK
     dot_population = float(np.sum(np.abs(psi[2 * n :]) ** 2))
     if dot_population > _DOT_POP_FAIL:
         raise NotConverged(

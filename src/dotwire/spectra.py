@@ -202,7 +202,8 @@ def peak_position_curve(
     poles push the peak out of any fixed bracket), and kd points where the
     bracket holds no interior maximum are skipped with a warning — never
     interpolated. If params_base.k0d is None, k0d tracks kd. An empty
-    bracket raises ValueError before any kd is tried.
+    bracket raises ValueError before any kd is tried, and a non-finite kd
+    when it is reached.
 
     Returns (records without collective term, records with it).
     """
@@ -211,6 +212,8 @@ def peak_position_curve(
     with_sr: list[PeakRecord] = []
     for kd in kd_values:
         kd = float(kd)
+        if not math.isfinite(kd):
+            raise ValueError(f"kd must be finite, got {kd}")
         folded = abs(math.remainder(kd, math.pi))
         if abs(folded - math.pi / 2) < _POLE_EXCLUSION:
             log.warning("skipping kd=%.6f: tangent pole", kd)

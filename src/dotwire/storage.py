@@ -12,11 +12,14 @@ population obeys
 
 with |E_T|^2 = envelope^2 / 2, integrating to the design efficiency
 1 - 1/P. That is the value the control is designed for, not a bound: the
-lattice run reaches slightly more (0.80088 at P = 5, sigma_t = 10).
+lattice run reaches slightly more (0.80087 at P = 5, sigma_t = 10).
 Solving that identity for the control gives
 
-    |c_m(t)|^2 = (1 - 1/P) * int_0^t envelope^2 - envelope^2
+    |c_m(t)|^2 = (1 - 1/P) * int_{-inf}^t envelope^2 - envelope^2
     Omega(t)   = (d envelope/dt - (1 - 1/P) * envelope / 2) / |c_m(t)|
+
+where the integral runs over the whole unit-norm photon, also before the
+time grid starts.
 
 The simulation works at a parity point of the emitter spacing
 (e^{i k0 d} = +1 "even" or -1 "odd"); the two differ only in which excited
@@ -203,12 +206,16 @@ def impedance_matched_pulse(
 ) -> MatchedPulse:
     """Control pulse that absorbs the envelope without re-emission.
 
+    The envelope is one unit-norm photon; the part of its norm that t_grid
+    does not hold arrived before the grid starts. Where the designed
+    population still dips below zero, it is held at the floor 1e-12 with
+    the control off.
+
     Raises BandwidthTooWide when the envelope bandwidth
     sqrt(int denv^2 / int env^2) exceeds 0.1 * GAMMA_PL (the adiabatic
     design assumes a narrowband photon), and PopulationUnderflow when the
-    designed metastable population would have to go negative while the
-    envelope is still active (pulse_ratio too close to 1 for this envelope)
-    or the control would diverge.
+    designed population dips below -1e-4 times the peak of envelope^2
+    (pulse_ratio too close to 1 for this envelope) or |Omega| exceeds 1e3.
     """
     gp = 1.0 / pulse_ratio
     d_env = np.gradient(envelope, t_grid)
@@ -220,30 +227,28 @@ def impedance_matched_pulse(
             f"{_BANDWIDTH_LIMIT * GAMMA_PL} (narrowband design assumption)"
         )
 
-    cum = np.concatenate(
-        [[0.0],
-         np.cumsum(0.5 * (envelope[1:] ** 2 + envelope[:-1] ** 2)
-                   * np.diff(t_grid))]
-    )
+    # envelope^2 integrated from the start of the photon, 1 - norm2 of which
+    # arrived before the grid
+    areas = 0.5 * (envelope[1:] ** 2 + envelope[:-1] ** 2) * np.diff(t_grid)
+    cum = 1.0 - norm2 + np.concatenate([[0.0], np.cumsum(areas)])
     cm2 = (1.0 - gp) * cum - envelope**2
     peak2 = float(np.max(envelope**2))
-    active = envelope**2 > 1e-6 * peak2
-    # tolerate the grid-truncated leading tail (cm^2 = -envelope^2 at t=0),
-    # but not a genuine dip: that means the envelope outruns the transfer
-    if np.any(cm2[active] < -1e-4 * peak2):
+    # a short dip below zero is held at the floor with the control off; a
+    # deep one means the envelope outruns the transfer
+    if np.any(cm2 < -1e-4 * peak2):
         raise PopulationUnderflow(
             f"matched design needs negative stored population "
-            f"(min {float(np.min(cm2[active])):.2e}) while the envelope is "
-            f"active; increase pulse_ratio or reshape the envelope"
+            f"(min {float(np.min(cm2)):.2e}); increase pulse_ratio or "
+            f"reshape the envelope"
         )
     cm = np.sqrt(np.maximum(cm2, _CM_FLOOR))
     omega = np.where(
         cm2 > _CM_FLOOR, (d_env - 0.5 * (1.0 - gp) * envelope) / cm, 0.0
     )
-    if np.any(np.abs(omega[active]) > _OMEGA_CAP):
+    if np.any(np.abs(omega) > _OMEGA_CAP):
         raise PopulationUnderflow(
-            f"matched control exceeds |Omega| = {_OMEGA_CAP:g} while the "
-            f"envelope is active; the design is not realizable here"
+            f"matched control exceeds |Omega| = {_OMEGA_CAP:g}; the design "
+            f"is not realizable here"
         )
     return MatchedPulse(omega=omega, stored_amplitude=cm)
 

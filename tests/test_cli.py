@@ -58,6 +58,18 @@ class TestUsageErrors:
         assert code == 1
         assert "not found" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("delta_min = abc", "expected a number, got 'abc'"),
+        ("single_dot = maybe", "expected a boolean, got 'maybe'"),
+    ], ids=["number", "boolean"])
+    def test_unparsable_config_value(self, capsys, tmp_path, line, message):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[spectrum]\n{line}\n")
+        code, out, err = run_main(capsys, "--config", str(config), "spectrum")
+        assert (code, out) == (1, "")
+        key = line.split()[0]
+        assert err == f"error: [spectrum] {key}: {message}\n"
+
     def test_invalid_parameter_value(self, capsys):
         # Library-level validation surfaces as a usage error, not a crash.
         code, _, err = run_main(capsys, "storage", "--pulse-ratio", "0.9")
@@ -409,6 +421,18 @@ class TestOutDirAndManifest:
         assert entry["path"] == data.name
         assert entry["size_bytes"] == len(payload)
         assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
+
+    def test_manifest_lists_the_run_warnings(self, capsys, tmp_path):
+        # kd = 1.5708 lies on the tangent pole and is skipped with a warning
+        out = tmp_path / "run"
+        code, _, _ = run_main(capsys, "--out", str(out), "peaks",
+                              "--kd-min", "1.5708", "--kd-max", "2.0",
+                              "--n-kd", "2")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "dotwire.spectra: skipping kd=1.570800: tangent pole"
+        ]
 
     def test_every_file_listed_with_checksum(self, capsys, tmp_path):
         out = tmp_path / "run"

@@ -307,9 +307,10 @@ class TestScatteringOracle:
         assert abs(result.r - exact.r) < 1e-3
 
     @pytest.mark.parametrize("name", ["sigma_k"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.02])
     def test_non_finite_packet_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        message = "must be > 0" if math.isfinite(value) else "must be finite"
+        with pytest.raises(ValueError, match=f"{name} {message}"):
             WavepacketSpec(**{name: value})
 
     def test_long_lived_subradiant_state_raises(self):
@@ -317,6 +318,19 @@ class TestScatteringOracle:
         # excitable but decays far too slowly for the chunk budget
         with pytest.raises(NotConverged):
             scattering_oracle(ModelParams(kd=2 * PI - 0.02, delta=0.01))
+
+    def test_late_settling_point_is_kept(self):
+        # further from kd = 2*pi the antisymmetric state decays within the
+        # 40 chunks to below the failure threshold 1e-6 but not the stop
+        # threshold 1e-10, and t and r are already right: merging the two
+        # thresholds would reject this point
+        params = ModelParams(kd=2 * PI - 0.15, delta=0.01)
+        result = scattering_oracle(params)
+        exact = solve_two_dot(params)
+        assert result.t_final == 1250.0
+        assert 1e-10 < result.dot_population < 1e-6
+        assert abs(result.t - exact.t) <= 1e-4
+        assert abs(result.r - exact.r) <= 1e-4
 
 
 class TestCollectiveRates:

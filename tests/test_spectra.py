@@ -212,6 +212,12 @@ class TestPeakPositionCurve:
         with pytest.raises(ValueError, match=r"invalid bracket \(3.0, -3.0\)"):
             peak_position_curve([PI / 2], base, bracket=(3.0, -3.0))
 
+    @pytest.mark.parametrize("kd", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kd_rejected(self, kd):
+        # the tangent-pole fold would fail first with no parameter named
+        with pytest.raises(ValueError, match=f"kd must be finite, got {kd}"):
+            peak_position_curve([kd], ModelParams(kd=1.0))
+
 
 class TestReflectionMinimum:
     def test_condition_matrix(self):

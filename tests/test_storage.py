@@ -61,6 +61,12 @@ class TestStorageParams:
         with pytest.raises(ValueError, match="shorter than one control step"):
             StorageParams(pulse_ratio=5.0, sigma_t=1e-3)
 
+    @pytest.mark.parametrize("name", ["sigma_t", "half_width", "dk"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_scale_rejected(self, name, value):
+        with pytest.raises(ValueError, match="must all be > 0"):
+            StorageParams(pulse_ratio=10.0, **{name: value})
+
     def test_derived_rates(self):
         p = StorageParams(pulse_ratio=20.0)
         assert p.gamma_prime == 0.05
@@ -87,12 +93,29 @@ class TestMatchedPulse:
             0.9, abs=1e-4
         )
 
-    def test_control_is_silenced_before_the_pulse(self):
+    def test_design_is_matched_from_the_first_sample(self):
+        # the part of the photon that arrived before the grid is stored by
+        # t = 0, so the stored population starts positive, the control on
         p = StorageParams(pulse_ratio=10.0)
         t = storage_time_grid(p)
-        pulse = impedance_matched_pulse(10.0, t, gaussian_input(t, 10.0))
-        assert pulse.omega[0] == 0.0
+        env = gaussian_input(t, 10.0)
+        pulse = impedance_matched_pulse(10.0, t, env)
+        before = 1.0 - float(np.trapezoid(env**2, t))
+        cm2 = pulse.stored_amplitude[0] ** 2
+        assert cm2 == pytest.approx(0.9 * before - env[0] ** 2, rel=1e-9)
+        assert cm2 > 0.0
+        assert pulse.omega[0] != 0.0
+
+    def test_control_is_silenced_before_the_pulse(self):
+        # at sigma_t = 6 the envelope outruns the transfer on the first
+        # samples: the design holds the population at the floor with the
+        # control off there, and the run still lands at 1 - 1/P
+        p = StorageParams(pulse_ratio=5.0, sigma_t=6.0)
+        t = storage_time_grid(p)
+        pulse = impedance_matched_pulse(5.0, t, gaussian_input(t, 6.0))
+        assert np.all(pulse.omega[:10] == 0.0)
         assert np.all(np.isfinite(pulse.omega))
+        assert abs(simulate_storage(p).efficiency - 0.8) < 5e-3
 
     def test_wideband_envelope_rejected(self):
         p = StorageParams(pulse_ratio=10.0, sigma_t=4.0)
@@ -160,6 +183,23 @@ class TestStorageEfficiency:
             np.sum(2.0 * np.abs(run.f_in) ** 2 * np.abs(s_even) ** 2)
         )
         assert abs(run.output_norm - predicted) < 1e-3
+
+    @pytest.mark.parametrize("pulse_ratio, sigma_t", [
+        (6.574260304361529, 20.0), (31.94, 20.0), (31.45, 10.0),
+    ])
+    def test_design_stays_gentle_from_the_start(self, pulse_ratio, sigma_t):
+        # designed on the grid's part of the photon alone, these controls
+        # switched on with a spike (|Omega| up to 74) that the step limit
+        # rejected
+        p = StorageParams(pulse_ratio=pulse_ratio, sigma_t=sigma_t)
+        t = storage_time_grid(p)
+        omega = impedance_matched_pulse(
+            pulse_ratio, t, gaussian_input(t, sigma_t)
+        ).omega
+        assert np.max(np.abs(omega)) <= 0.26
+        run = simulate_storage(p)
+        assert abs(run.efficiency - (1.0 - 1.0 / pulse_ratio)) < 5e-3
+        assert retrieve(p, math.sqrt(run.efficiency)).emitted_norm > 0.0
 
     def test_strong_control_rejected(self):
         p = StorageParams(pulse_ratio=10.0)
