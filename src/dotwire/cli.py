@@ -207,7 +207,7 @@ def _cmd_concurrence_map(p: dict) -> CommandResult:
     cells = concurrence_map(
         _grid(p, "kd_min", "kd_max", "n_kd"),
         _grid(p, "delta_min", "delta_max", "n_delta"),
-        ModelParams(kd=1.0, gamma0=p["gamma0"], gamma_nr=p["gamma_nr"]),
+        ModelParams(kd=1.0, gamma_nr=p["gamma_nr"]),
     )
     rows = [[c.kd, c.delta, c.concurrence] for c in cells]
     return CommandResult(tables=[
@@ -232,13 +232,6 @@ def _oracle_points(mode: str) -> list[tuple[float, float, float, bool]]:
             (0.25 * PI, -0.5, 0.0, False),
             (0.25 * PI, 0.0, 0.05, False),
             (0.25 * PI, 0.3, 0.05, True),
-        ]
-    if mode == "coarse":
-        return [
-            (kd, delta, gp, False)
-            for kd in (0.65 * PI, 1.35 * PI)
-            for delta in (-1.3, 1.7)
-            for gp in _ORACLE_GAMMA
         ]
     return [
         (kd, delta, gp, False)
@@ -333,8 +326,7 @@ def _cmd_storage(p: dict) -> CommandResult:
 
     def run(ratio: float) -> list:
         result = storage.simulate_storage(
-            storage.StorageParams(pulse_ratio=ratio, parity=p["parity"],
-                                  sigma_t=p["sigma_t"])
+            storage.StorageParams(pulse_ratio=ratio, sigma_t=p["sigma_t"])
         )
         return [ratio, result.efficiency, 1.0 - 1.0 / ratio]
 

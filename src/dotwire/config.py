@@ -123,8 +123,9 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("delta_min", "float", -2.0),
         Option("delta_max", "float", 2.0),
         Option("n_delta", "int", 81),
-        Option("gamma0", "float", 0.0),
-        Option("gamma_nr", "float", 0.0),
+        Option("gamma_nr", "float", 0.0,
+               "whole loss rate of each emitter (the map has no collective "
+               "term)"),
     ),
     "phase": (
         Option("gamma_prime", "floats", (0.0, 0.025, 0.125),
@@ -135,10 +136,9 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("kd_policy", "choice", "even", choices=("even", "odd")),
     ),
     "oracle-verify": (
-        Option("mode", "choice", "full", choices=("full", "coarse", "quick"),
+        Option("mode", "choice", "full", choices=("full", "quick"),
                switches=(
                    ("quick", "three spot points instead of the full matrix"),
-                   ("coarse", "2x2x2 sub-matrix"),
                )),
         Option("tolerance", "float", 1e-3),
         Option("sigma_k", "float", 0.02, "probe packet spectral width"),
@@ -147,7 +147,6 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("pulse_ratio", "floats", (5.0, 10.0, 20.0, 50.0),
                "P, the bright excited state's decay rate into the guide "
                "over its decay rate outside it (P > 1); repeatable"),
-        Option("parity", "choice", "even", choices=("even", "odd")),
         Option("sigma_t", "float", 10.0),
     ),
 }

@@ -20,11 +20,11 @@ FLAGS = {
     "peaks": ["--kd-min", "--kd-max", "--n-kd", "--gamma0", "--gamma-nr",
               "--bracket-lo", "--bracket-hi"],
     "concurrence-map": ["--kd-min", "--kd-max", "--n-kd", "--delta-min",
-                        "--delta-max", "--n-delta", "--gamma0", "--gamma-nr"],
+                        "--delta-max", "--n-delta", "--gamma-nr"],
     "phase": ["--gamma-prime", "--delta-min", "--delta-max", "--n-points",
               "--kd-policy"],
-    "oracle-verify": ["--quick", "--coarse", "--tolerance", "--sigma-k"],
-    "storage": ["--pulse-ratio", "--parity", "--sigma-t"],
+    "oracle-verify": ["--quick", "--tolerance", "--sigma-k"],
+    "storage": ["--pulse-ratio", "--sigma-t"],
 }
 
 # a small run per command that sets every option away from its default,
@@ -47,10 +47,9 @@ SETTINGS = {
     ),
     "concurrence-map": (
         ["--kd-min", "2.0", "--kd-max", "3.0", "--n-kd", "2", "--delta-min",
-         "-1", "--delta-max", "1", "--n-delta", "3", "--gamma0", "0.01",
-         "--gamma-nr", "0.02"],
+         "-1", "--delta-max", "1", "--n-delta", "3", "--gamma-nr", "0.02"],
         "kd_min = 2.0\nkd_max = 3.0\nn_kd = 2\ndelta_min = -1\n"
-        "delta_max = 1\nn_delta = 3\ngamma0 = 0.01\ngamma_nr = 0.02\n",
+        "delta_max = 1\nn_delta = 3\ngamma_nr = 0.02\n",
     ),
     "phase": (
         ["--gamma-prime", "0.01", "--gamma-prime", "0.2", "--delta-min",
@@ -59,12 +58,12 @@ SETTINGS = {
         "n_points = 3\nkd_policy = odd\n",
     ),
     "oracle-verify": (
-        ["--coarse", "--tolerance", "0.5", "--sigma-k", "0.03"],
-        "mode = coarse\ntolerance = 0.5\nsigma_k = 0.03\n",
+        ["--quick", "--tolerance", "0.5", "--sigma-k", "0.03"],
+        "mode = quick\ntolerance = 0.5\nsigma_k = 0.03\n",
     ),
     "storage": (
-        ["--pulse-ratio", "6", "--parity", "odd", "--sigma-t", "12"],
-        "pulse_ratio = 6\nparity = odd\nsigma_t = 12\n",
+        ["--pulse-ratio", "6", "--sigma-t", "12"],
+        "pulse_ratio = 6\nsigma_t = 12\n",
     ),
 }
 
@@ -92,7 +91,7 @@ class TestOptionTable:
         self, command, tmp_path, monkeypatch
     ):
         # the lattice run is not what is tested here: stand in the exact
-        # amplitudes so the coarse matrix costs no time stepping
+        # amplitudes so the quick points cost no time stepping
         def exact(params, packet):
             sol = cli.solve_two_dot(params)
             return OracleResult(t=sol.t, r=sol.r, n_modes=0, n_steps=0,
@@ -131,7 +130,6 @@ class TestLoadConfig:
 
             [storage]
             pulse_ratio = 5 10 20
-            parity = odd
             sigma_t = 8.0
             """,
         )
@@ -144,7 +142,6 @@ class TestLoadConfig:
         }
         assert cfg["storage"] == {
             "pulse_ratio": [5.0, 10.0, 20.0],
-            "parity": "odd",
             "sigma_t": 8.0,
         }
 
@@ -194,6 +191,6 @@ class TestLoadConfig:
             load_config(path)
 
     def test_scientific_notation(self, tmp_path):
-        path = write(tmp_path, "[oracle-verify]\ntolerance = 1e-3\nmode = coarse\n")
+        path = write(tmp_path, "[oracle-verify]\ntolerance = 1e-3\nmode = quick\n")
         cfg = load_config(path)
-        assert cfg["oracle-verify"] == {"tolerance": 1e-3, "mode": "coarse"}
+        assert cfg["oracle-verify"] == {"tolerance": 1e-3, "mode": "quick"}

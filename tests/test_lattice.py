@@ -356,7 +356,7 @@ class TestNoJumpEquivalence:
         assert report.gamma_plus + report.gamma_minus == 0.05
 
     def test_dicke_point(self):
-        report = no_jump_equivalence(1e-12, 0.025, t_max=100.0)
+        report = no_jump_equivalence(1e-12, 0.025)
         assert report.max_trace_distance <= 1e-8
         assert report.max_trace_error <= 1e-12
         assert report.gamma_minus == pytest.approx(0.0, abs=1e-24)
@@ -385,16 +385,9 @@ class TestNoJumpEquivalence:
             ("k0d", {"k0d": math.nan}),
             ("k0d", {"k0d": math.inf}),
             ("gamma0", {"gamma0": math.nan}),
-            ("t_max", {"t_max": math.nan}),
-            ("t_max", {"t_max": -math.inf}),
         ],
     )
     def test_non_finite_input_rejected(self, name, kwargs):
         args = {"k0d": PI / 2, "gamma0": 0.05, **kwargs}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             no_jump_equivalence(**args)
-
-    @pytest.mark.parametrize("t_max", [-1.0, 0.0])
-    def test_non_positive_t_max_rejected(self, t_max):
-        with pytest.raises(ValueError, match="t_max must be > 0"):
-            no_jump_equivalence(PI / 2, 0.05, t_max=t_max)
