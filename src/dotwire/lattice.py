@@ -225,7 +225,10 @@ def make_mode_grid(center: float) -> ModeGrid:
     around the emitter line at nu = 0 (emission at the line that lands on
     sparse modes quasi-recurs, stalling convergence). Line-patch modes that
     would fall inside the core are left out, so the core stays uniform;
-    where |center| > 2.25 the core reaches past the patch."""
+    where |center| > 2.25 the core reaches past the patch. ValueError
+    unless center is finite."""
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
     m = math.ceil(_CORE_HALF / _DK_CORE)
     core = center + _DK_CORE * np.arange(-m, m + 1)
     line = np.arange(-_LINE_HALF, _LINE_HALF + 0.5 * _DK_LINE, _DK_LINE)
@@ -235,7 +238,11 @@ def make_mode_grid(center: float) -> ModeGrid:
 
 
 def uniform_mode_grid(half_width: float, dk: float) -> ModeGrid:
-    """Plain uniform grid (decay-rate and line-shape checks)."""
+    """Plain uniform grid (decay-rate and line-shape checks). ValueError
+    unless half_width and dk are finite and > 0."""
+    for name, value in (("half_width", half_width), ("dk", dk)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     nu = np.arange(-half_width, half_width + 0.5 * dk, dk)
     return ModeGrid(nu=nu, weights=np.full_like(nu, dk))
 

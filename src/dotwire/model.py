@@ -132,7 +132,12 @@ def superradiant_rate(k0d: float, gamma0: float) -> float:
     enters effective Hamiltonians as i*Gamma_SR/2, exactly parallel to the
     guided i*GAMMA_PL/2. The removable singularity at k0d -> 0 is evaluated
     by series below 1e-8, giving the fully collective limit gamma0.
+
+    ValueError unless k0d and gamma0 are finite and gamma0 >= 0.
     """
+    for name, value in (("k0d", k0d), ("gamma0", gamma0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if gamma0 < 0:
         raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
     if abs(k0d) < _SINC_SERIES_CUTOFF:

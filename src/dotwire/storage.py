@@ -88,6 +88,16 @@ _SPAN_SIGMAS = 11.0
 _COUPLING_STEP_LIMIT = 0.25
 
 
+def _check_pulse_ratio(pulse_ratio: float) -> None:
+    if not math.isfinite(pulse_ratio):
+        raise ValueError(f"pulse_ratio must be finite, got {pulse_ratio}")
+    if not pulse_ratio > 1.0:
+        raise ValueError(
+            f"pulse_ratio must be > 1, got {pulse_ratio} (the bright state "
+            f"must decay faster into the guide than out)"
+        )
+
+
 @dataclass(frozen=True)
 class StorageParams:
     """Protocol operating point.
@@ -104,15 +114,11 @@ class StorageParams:
     dk: float = 2e-3
 
     def __post_init__(self) -> None:
-        for name in ("pulse_ratio", "sigma_t", "half_width", "dk"):
+        _check_pulse_ratio(self.pulse_ratio)
+        for name in ("sigma_t", "half_width", "dk"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.pulse_ratio > 1.0:
-            raise ValueError(
-                f"pulse_ratio must be > 1, got {self.pulse_ratio} (the "
-                f"bright state must decay faster into the guide than out)"
-            )
         if self.parity not in ("even", "odd"):
             raise ValueError(
                 f"parity must be 'even' or 'odd', got {self.parity!r}"
@@ -192,7 +198,9 @@ def storage_time_grid(params: StorageParams) -> np.ndarray:
 
 def gaussian_input(t_grid: np.ndarray, sigma_t: float) -> np.ndarray:
     """Unit-norm Gaussian envelope (integral of envelope^2 is 1) peaking at
-    5 sigma_t."""
+    5 sigma_t. ValueError unless sigma_t is finite and > 0."""
+    if not (math.isfinite(sigma_t) and sigma_t > 0):
+        raise ValueError(f"sigma_t must be finite and > 0, got {sigma_t}")
     t_peak = _PEAK_SIGMAS * sigma_t
     return (2.0 * math.pi * sigma_t**2) ** (-0.25) * np.exp(
         -((t_grid - t_peak) ** 2) / (4.0 * sigma_t**2)
@@ -216,7 +224,13 @@ def impedance_matched_pulse(
     design assumes a narrowband photon), and PopulationUnderflow when the
     designed population dips below -1e-4 times the peak of envelope^2
     (pulse_ratio too close to 1 for this envelope) or |Omega| exceeds 1e3.
+    ValueError unless pulse_ratio is finite and > 1 and t_grid and
+    envelope are finite.
     """
+    _check_pulse_ratio(pulse_ratio)
+    for name, samples in (("t_grid", t_grid), ("envelope", envelope)):
+        if not np.all(np.isfinite(samples)):
+            raise ValueError(f"{name} must be finite at every sample")
     gp = 1.0 / pulse_ratio
     d_env = np.gradient(envelope, t_grid)
     norm2 = float(np.trapezoid(envelope**2, t_grid))
@@ -494,7 +508,8 @@ def verify_population_identity(
     The matched pulse is constructed to satisfy it exactly; the returned
     figure is pure discretization error of the time grid. (Measuring the
     same identity on a simulated trajectory instead reports the physical
-    non-Markovian transient, orders of magnitude larger.)
+    non-Markovian transient, orders of magnitude larger.) Raises as
+    impedance_matched_pulse does.
     """
     pulse = impedance_matched_pulse(pulse_ratio, t_grid, envelope)
     et = 0.5 * envelope**2

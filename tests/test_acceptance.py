@@ -34,6 +34,7 @@ from dotwire import (
     verify_population_identity,
 )
 from dotwire.cli import main
+from gates import worst
 
 PI = math.pi
 
@@ -42,20 +43,34 @@ def _report(n: int, label: str, detail: str) -> None:
     print(f"criterion {n:02d} {label}: PASS ({detail})")
 
 
+def test_worst_keeps_nan():
+    # accumulated with max(), (1e-13, nan, 2e-13) reads 2e-13 and passes
+    # criterion 02's bound; accumulated with worst(), it fails it
+    by_max = by_worst = 0.0
+    for value in (1e-13, math.nan, 2e-13):
+        by_max = max(by_max, value)
+        by_worst = worst(by_worst, value)
+    assert by_max == 2e-13
+    assert math.isnan(by_worst)
+    assert not by_worst <= 1e-12
+    assert worst(0.0, 1e-13, 2e-13) == 2e-13
+
+
 def test_criterion_01_flux_conservation_lossless():
     kd_grid = np.linspace(0.1, 3 * PI - 0.1, 100)
     delta_grid = np.linspace(-3.0, 3.0, 100)
     started = time.perf_counter()
-    worst = 0.0
+    worst_flux = 0.0
     for kd in kd_grid:
         for delta in delta_grid:
             sol = solve_two_dot(ModelParams(kd=kd, delta=delta))
-            worst = max(worst, abs(sol.T + sol.R - 1.0))
+            worst_flux = worst(worst_flux, abs(sol.T + sol.R - 1.0))
     elapsed = time.perf_counter() - started
-    assert worst <= 1e-10
+    assert worst_flux <= 1e-10
     assert elapsed < 1.0
     _report(1, "flux conservation",
-            f"max |T+R-1| = {worst:.2e} on 100x100 grid in {elapsed:.2f}s")
+            f"max |T+R-1| = {worst_flux:.2e} on 100x100 grid in "
+            f"{elapsed:.2f}s")
 
 
 def test_criterion_02_solver_residuals():
@@ -71,8 +86,8 @@ def test_criterion_02_solver_residuals():
     worst_backward = 0.0
     for params in cases:
         sol = solve_two_dot(params)
-        worst_carried = max(worst_carried, sol.residual)
-        worst_backward = max(
+        worst_carried = worst(worst_carried, sol.residual)
+        worst_backward = worst(
             worst_backward,
             relation_residual(params, sol.t, sol.r, sol.a, sol.b,
                               sol.xi1, sol.xi2),
@@ -85,7 +100,7 @@ def test_criterion_02_solver_residuals():
 
 
 def test_criterion_03_single_emitter_reduction():
-    worst = 0.0
+    worst_gap = 0.0
     for kd in (2 * PI, 4 * PI):
         for g0, gnr in ((0.0, 0.0), (0.02, 0.03)):
             gp = g0 + gnr
@@ -96,9 +111,11 @@ def test_criterion_03_single_emitter_reduction():
                     ModelParams(kd=kd, delta=delta, gamma0=g0, gamma_nr=gnr)
                 )
                 one = solve_single_dot(gp / 2.0, delta / 2.0)
-                worst = max(worst, abs(two.t - one.t), abs(two.r - one.r))
-    assert worst <= 1e-10
-    _report(3, "single-emitter reduction", f"max amplitude gap {worst:.2e}")
+                worst_gap = worst(worst_gap, abs(two.t - one.t),
+                                  abs(two.r - one.r))
+    assert worst_gap <= 1e-10
+    _report(3, "single-emitter reduction",
+            f"max amplitude gap {worst_gap:.2e}")
 
 
 def test_criterion_04_reflection_minimum_relation():
@@ -109,9 +126,9 @@ def test_criterion_04_reflection_minimum_relation():
         for gp in (0.0, 0.05, 0.25):
             params = ModelParams(kd=kd, gamma_nr=gp)
             delta_min, r_min, residual = reflection_minimum(params)
-            worst_residual = max(worst_residual, residual)
+            worst_residual = worst(worst_residual, residual)
             if gp == 0.0:
-                worst_lossless_r = max(worst_lossless_r, r_min)
+                worst_lossless_r = worst(worst_lossless_r, r_min)
     elapsed = time.perf_counter() - started
     assert worst_residual <= 1e-6
     assert worst_lossless_r <= 1e-12
@@ -127,15 +144,18 @@ def test_criterion_05_maximal_concurrence():
         for delta in np.linspace(-2.0, 2.0, 40):  # even count skips 0
             sol = solve_two_dot(ModelParams(kd=kd, delta=delta))
             state = project_state(sol)
-            worst_vertical = max(worst_vertical, abs(state.concurrence - 1.0))
+            worst_vertical = worst(worst_vertical,
+                                   abs(state.concurrence - 1.0))
     assert worst_vertical <= 1e-10
 
     kd_grid = np.linspace(0.6 * PI, 1.4 * PI, 32)  # avoids pi and poles
     curve = high_c_curve(kd_grid, gamma_prime=0.0)
-    lowest = 1.0
-    for kd, delta in curve:
-        sol = solve_two_dot(ModelParams(kd=kd, delta=delta))
-        lowest = min(lowest, project_state(sol).concurrence)
+    # np.min keeps a NaN concurrence, which then fails the bound
+    lowest = float(np.min([
+        project_state(solve_two_dot(ModelParams(kd=kd, delta=delta)))
+        .concurrence
+        for kd, delta in curve
+    ]))
     assert lowest >= 0.99
     _report(5, "maximal concurrence",
             f"vertical gap {worst_vertical:.2e}, curve min C = {lowest:.6f}")
@@ -160,7 +180,7 @@ def test_criterion_06_phase_jump_with_loss():
     for gp in (0.0, 0.025, 0.125):
         theta = np.array([p.theta for p in phase_scan(deltas, gp)])
         steps = np.abs(np.diff(np.unwrap(theta)))
-        max_step = max(max_step, float(steps.max()))
+        max_step = worst(max_step, float(steps.max()))
     assert max_step < 0.2
     _report(6, "phase jump with loss",
             f"theta(0) = pi lossless / 0 lossy, max branch step {max_step:.3f}")
@@ -169,7 +189,7 @@ def test_criterion_06_phase_jump_with_loss():
 def test_criterion_07_time_domain_oracle_matrix():
     packet = WavepacketSpec(sigma_k=0.02)
     started = time.perf_counter()
-    worst = 0.0
+    worst_error = 0.0
     n_points = 0
     for kd in (0.5 * PI, 0.65 * PI, PI, 1.35 * PI, 2 * PI):
         for delta in (-2.0, -1.3, 1.2, 1.7, 2.3):
@@ -177,15 +197,15 @@ def test_criterion_07_time_domain_oracle_matrix():
                 params = ModelParams(kd=kd, delta=delta, gamma_nr=gp)
                 exact = solve_two_dot(params)
                 oracle = scattering_oracle(params, packet)
-                worst = max(worst, abs(oracle.t - exact.t),
-                            abs(oracle.r - exact.r))
+                worst_error = worst(worst_error, abs(oracle.t - exact.t),
+                                    abs(oracle.r - exact.r))
                 n_points += 1
     elapsed = time.perf_counter() - started
     assert n_points == 50
-    assert worst <= 1e-3
+    assert worst_error <= 1e-3
     assert elapsed < 120.0
     _report(7, "time-domain oracle",
-            f"max amplitude error {worst:.2e} over 5x5x2 matrix "
+            f"max amplitude error {worst_error:.2e} over 5x5x2 matrix "
             f"in {elapsed:.0f}s")
 
 
@@ -227,19 +247,20 @@ def _seeded_oracle_points(seed: int = 1, n: int = 20):
 def test_oracle_off_the_criterion_07_matrix(cases):
     # criterion 07's points are fixed; the carrier readout must hold
     # anywhere in its ranges and for any resolved packet width
-    worst = 0.0
+    worst_error = 0.0
     for params, sigma_k in cases:
         exact = solve_two_dot(params)
         oracle = scattering_oracle(params, WavepacketSpec(sigma_k=sigma_k))
-        worst = max(worst, abs(oracle.t - exact.t), abs(oracle.r - exact.r))
-    assert worst <= 1e-4
+        worst_error = worst(worst_error, abs(oracle.t - exact.t),
+                            abs(oracle.r - exact.r))
+    assert worst_error <= 1e-4
 
 
 def test_criterion_08_no_jump_equivalence():
     worst_trace = 0.0
     for k0d in (0.5 * PI, 0.25 * PI):
         report = no_jump_equivalence(k0d, gamma0=0.05)
-        worst_trace = max(worst_trace, report.max_trace_distance)
+        worst_trace = worst(worst_trace, report.max_trace_distance)
     assert worst_trace <= 1e-8
 
     for k0d in (1e-9, 0.3, 1.0, 0.5 * PI, 2.0, PI, 5.0):
@@ -266,13 +287,14 @@ def test_criterion_09_storage_efficiency_law():
             StorageParams(pulse_ratio=ratio, parity="odd", sigma_t=sigma_t)
         )
         bound = 1.0 - 1.0 / ratio
-        worst_gap = max(worst_gap, abs(even.efficiency - bound))
-        worst_parity = max(worst_parity, abs(even.efficiency - odd.efficiency))
+        worst_gap = worst(worst_gap, abs(even.efficiency - bound))
+        worst_parity = worst(worst_parity,
+                             abs(even.efficiency - odd.efficiency))
 
         params = StorageParams(pulse_ratio=ratio, sigma_t=sigma_t)
         t_grid = storage_time_grid(params)
         envelope = gaussian_input(t_grid, sigma_t)
-        worst_identity = max(
+        worst_identity = worst(
             worst_identity, verify_population_identity(ratio, t_grid, envelope)
         )
     elapsed = time.perf_counter() - started

@@ -288,6 +288,34 @@ class TestCellFormat:
 
 
 class TestOracleReport:
+    def test_default_mode_checks_the_criterion_07_matrix(
+        self, capsys, monkeypatch
+    ):
+        # the lattice run is not what is tested here: stand in the exact
+        # amplitudes so the 50 points cost no time stepping
+        def exact(params, packet):
+            sol = cli.solve_two_dot(params)
+            return lattice.OracleResult(t=sol.t, r=sol.r, n_modes=0,
+                                        n_steps=0, t_final=0.0,
+                                        dot_population=0.0, wall_time=0.0)
+
+        monkeypatch.setattr(lattice, "scattering_oracle", exact)
+        code, out, _ = run_main(capsys, "oracle-verify")
+        assert code == 0
+        report = json.loads(out)
+        assert report["mode"] == "full"
+        assert report["n_points"] == 50
+        points = {(pt["kd"], pt["delta"], pt["gamma_prime"])
+                  for pt in report["points"]}
+        assert points == {
+            (kd, delta, gp)
+            for kd in (0.5 * PI, 0.65 * PI, PI, 1.35 * PI, 2 * PI)
+            for delta in (-2.0, -1.3, 1.2, 1.7, 2.3)
+            for gp in (0.0, 0.05)
+        }
+        assert not any(pt["with_sr"] for pt in report["points"])
+        assert report["max_error"] == 0.0
+
     def test_unsettled_point_is_null_in_strict_json(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -432,6 +460,25 @@ class TestOutDirAndManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warnings"] == [
             "dotwire.spectra: skipping kd=1.570800: tangent pole"
+        ]
+
+    def test_no_peak_in_the_bracket_is_a_warning(self, capsys, tmp_path):
+        # at kd = pi/4 the reflection peaks lie outside (1, 3): both curves
+        # skip the spacing, and the table keeps only its header
+        out = tmp_path / "run"
+        code, _, _ = run_main(capsys, "--out", str(out), "peaks",
+                              "--kd-min", "0.7853981633974483",
+                              "--kd-max", "0.7853981633974483", "--n-kd", "1",
+                              "--bracket-lo", "1", "--bracket-hi", "3")
+        assert code == 0
+        table = (out / "peaks.csv").read_text()
+        assert table == "kd,delta_peak,R_peak,with_sr\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "dotwire.spectra: skipping kd=0.785398 (with_sr=False): no peak "
+            "in (1.0, 3.0)",
+            "dotwire.spectra: skipping kd=0.785398 (with_sr=True): no peak "
+            "in (1.0, 3.0)",
         ]
 
     def test_every_file_listed_with_checksum(self, capsys, tmp_path):

@@ -73,6 +73,25 @@ class TestModeGrids:
         kap = grid.coupling_strengths()
         assert np.allclose(4 * PI * kap**2, grid.weights, atol=1e-18)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            make_mode_grid(center)
+
+    @pytest.mark.parametrize("name,args", [
+        ("half_width", (math.nan, 0.1)),
+        ("half_width", (math.inf, 0.1)),
+        ("half_width", (0.0, 0.1)),
+        ("half_width", (-3.0, 0.1)),
+        ("dk", (3.0, math.nan)),
+        ("dk", (3.0, math.inf)),
+        ("dk", (3.0, 0.0)),
+        ("dk", (3.0, -0.1)),
+    ])
+    def test_bad_uniform_grid_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            uniform_mode_grid(*args)
+
 
 class TestBuildHamiltonian:
     def test_hermitian_without_loss_or_collective_term(self):

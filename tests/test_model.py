@@ -11,6 +11,7 @@ import pytest
 from dotwire import model
 from dotwire.entanglement import concurrence_map
 from dotwire.errors import SingularSystem
+from dotwire.lattice import gamma_pm
 from dotwire.model import (
     GAMMA_PL,
     ModelParams,
@@ -21,6 +22,7 @@ from dotwire.model import (
     superradiant_rate,
 )
 from dotwire.spectra import _linspace, sweep_detuning
+from gates import worst
 
 
 class TestSuperradiantRate:
@@ -45,6 +47,19 @@ class TestSuperradiantRate:
     def test_negative_gamma0_rejected(self):
         with pytest.raises(ValueError):
             superradiant_rate(1.0, -0.1)
+
+    @pytest.mark.parametrize("name,args", [
+        ("k0d", (math.nan, 0.025)),
+        ("k0d", (math.inf, 0.025)),
+        ("k0d", (-math.inf, 0.025)),
+        ("gamma0", (1.0, math.nan)),
+        ("gamma0", (1.0, math.inf)),
+    ])
+    def test_non_finite_input_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            superradiant_rate(*args)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            gamma_pm(*args)
 
 
 class TestModelParams:
@@ -93,7 +108,7 @@ class TestTwoDotSolver:
 
     def test_relation_residual_tiny_everywhere(self):
         rng = np.random.default_rng(11)
-        worst = 0.0
+        worst_residual = 0.0
         for _ in range(300):
             p = ModelParams(
                 kd=rng.uniform(0.05, 9.0),
@@ -103,8 +118,8 @@ class TestTwoDotSolver:
                 include_superradiance=bool(rng.integers(0, 2)),
                 k0d=rng.uniform(0.3, 9.0),
             )
-            worst = max(worst, solve_two_dot(p).residual)
-        assert worst <= 1e-12
+            worst_residual = worst(worst_residual, solve_two_dot(p).residual)
+        assert worst_residual <= 1e-12
 
     def test_residual_is_nan_when_a_term_is_nan(self):
         # max() would drop a NaN relation and report a clean residual

@@ -83,6 +83,12 @@ class TestInputEnvelope:
         env = gaussian_input(t, 10.0)
         assert t[int(np.argmax(env))] == pytest.approx(50.0, abs=0.1)
 
+    @pytest.mark.parametrize("sigma_t", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_width_rejected(self, sigma_t):
+        t = storage_time_grid(StorageParams(pulse_ratio=10.0))
+        with pytest.raises(ValueError, match="sigma_t must be finite and > 0"):
+            gaussian_input(t, sigma_t)
+
 
 class TestMatchedPulse:
     def test_designed_final_population_meets_the_bound(self):
@@ -127,6 +133,36 @@ class TestMatchedPulse:
         t = storage_time_grid(StorageParams(pulse_ratio=1.05))
         with pytest.raises(PopulationUnderflow):
             impedance_matched_pulse(1.05, t, gaussian_input(t, 10.0))
+
+    @pytest.mark.parametrize("pulse_ratio,match", [
+        (math.nan, "pulse_ratio must be finite"),
+        (math.inf, "pulse_ratio must be finite"),
+        (1.0, "pulse_ratio must be > 1"),
+        (0.0, "pulse_ratio must be > 1"),
+        (-2.0, "pulse_ratio must be > 1"),
+    ])
+    def test_bad_pulse_ratio_rejected(self, pulse_ratio, match):
+        t = storage_time_grid(StorageParams(pulse_ratio=10.0))
+        env = gaussian_input(t, 10.0)
+        with pytest.raises(ValueError, match=match):
+            impedance_matched_pulse(pulse_ratio, t, env)
+        with pytest.raises(ValueError, match=match):
+            verify_population_identity(pulse_ratio, t, env)
+
+    @pytest.mark.parametrize("name", ["t_grid", "envelope"])
+    @pytest.mark.parametrize("bad", ["one", "all"])
+    def test_non_finite_samples_rejected(self, name, bad):
+        t = storage_time_grid(StorageParams(pulse_ratio=10.0))
+        arrays = {"t_grid": t, "envelope": gaussian_input(t, 10.0)}
+        samples = arrays[name].copy()
+        if bad == "one":
+            samples[samples.size // 2] = math.nan
+        else:
+            samples[:] = math.nan
+        arrays[name] = samples
+        with pytest.raises(ValueError,
+                           match=f"{name} must be finite at every sample"):
+            impedance_matched_pulse(10.0, **arrays)
 
 
 class TestStorageEfficiency:
