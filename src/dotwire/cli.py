@@ -172,20 +172,32 @@ def _cmd_spectrum(p: dict) -> CommandResult:
     if p["single_dot"]:
         return CommandResult(tables=[single_table()])
 
-    sr_flags = {"off": (False,), "on": (True,), "both": (True, False)}[p["sr"]]
-    tables: list[Table] = []
+    # table names carry 6 significant digits: two pairs that share a name
+    # would overwrite one file and list it twice in the manifest
+    stems: dict[str, tuple[float, float]] = {}
     for kd in p["kd"]:
         for gnr in p["gamma_nr"]:
-            for sr in sr_flags:
-                params = ModelParams(kd=kd, gamma0=p["gamma0"], gamma_nr=gnr,
-                                     include_superradiance=sr)
-                rows = [[row.delta, row.T, row.R, row.Loss]
-                        for row in sweep_detuning(params, p["delta_min"],
-                                                  p["delta_max"],
-                                                  p["n_points"])]
-                name = (f"spectrum_kd{_num(kd)}_gnr{_num(gnr)}"
-                        f"_{'sr' if sr else 'nosr'}")
-                tables.append(Table(name, ["delta", "T", "R", "Loss"], rows))
+            stem = f"spectrum_kd{_num(kd)}_gnr{_num(gnr)}"
+            if stem in stems:
+                kd0, gnr0 = stems[stem]
+                raise ValueError(
+                    f"kd={kd0!r}, gamma_nr={gnr0!r} and kd={kd!r}, "
+                    f"gamma_nr={gnr!r} give the same table name {stem} "
+                    f"(names keep 6 significant digits)"
+                )
+            stems[stem] = (kd, gnr)
+
+    sr_flags = {"off": (False,), "on": (True,), "both": (True, False)}[p["sr"]]
+    tables: list[Table] = []
+    for stem, (kd, gnr) in stems.items():
+        for sr in sr_flags:
+            params = ModelParams(kd=kd, gamma0=p["gamma0"], gamma_nr=gnr,
+                                 include_superradiance=sr)
+            rows = [[row.delta, row.T, row.R, row.Loss]
+                    for row in sweep_detuning(params, p["delta_min"],
+                                              p["delta_max"], p["n_points"])]
+            tables.append(Table(f"{stem}_{'sr' if sr else 'nosr'}",
+                                ["delta", "T", "R", "Loss"], rows))
     tables.append(single_table())
     return CommandResult(tables=tables)
 
@@ -348,14 +360,37 @@ _COMMANDS = {
 }
 
 
-def _csv_cell(value: int | float) -> str:
-    return str(value) if isinstance(value, int) else f"{value:.17e}"
+_CSV_BLOCK = 512  # rows transposed at a time; bounds the temporary lists
 
 
 def _table_csv(table: Table) -> str:
+    """The table as CSV text: a header line, then one line per row, each
+    int cell as str(value) and each float cell as f"{value:.17e}".
+
+    Cells are formatted column by column over blocks of rows. A float
+    column that holds at most half as many distinct values as rows (a grid
+    axis) formats each distinct value once, through a dict. Zeros are
+    formatted in place, since 0.0 == -0.0 would share one key, and int
+    cells never go through the dict, since 1 == 1.0 would too.
+    """
     lines = [",".join(table.columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    rows = table.rows
+    for start in range(0, len(rows), _CSV_BLOCK):
+        columns = [_csv_column(column)
+                   for column in zip(*rows[start:start + _CSV_BLOCK])]
+        lines.extend(map(",".join, zip(*columns)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_column(values: tuple) -> list[str]:
+    distinct = set(values)
+    if 2 * len(distinct) <= len(values) and all(
+        isinstance(v, float) for v in values
+    ):
+        text = {v: f"{v:.17e}" for v in distinct if v}
+        return [text[v] if v else f"{v:.17e}" for v in values]
+    return [str(v) if isinstance(v, int) else f"{v:.17e}" for v in values]
 
 
 def _table_doc(table: Table) -> dict:

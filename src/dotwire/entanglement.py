@@ -93,25 +93,35 @@ def project_state(sol: ScatteringSolution) -> ProjectedState:
 
 def _project(xi1: complex, xi2: complex) -> ProjectedState:
     """project_state from the emitter amplitudes alone."""
+    root = _root_weight(xi1, xi2)
+    amp_eg = xi1 / root
+    amp_ge = xi2 / root
+    return ProjectedState(
+        amp_eg=amp_eg,
+        amp_ge=amp_ge,
+        norm=abs(xi1) ** 2 + abs(xi2) ** 2,
+        concurrence=2.0 * abs(amp_eg) * abs(amp_ge),
+        theta=_theta(xi1, xi2),
+    )
+
+
+def _root_weight(xi1: complex, xi2: complex) -> float:
+    """sqrt(|xi1|^2 + |xi2|^2); EmptyProjection when the weight is at or
+    below the floor (nothing was absorbed)."""
     norm = abs(xi1) ** 2 + abs(xi2) ** 2
     if norm <= _PROJECTION_FLOOR:
         raise EmptyProjection(
             f"emitter amplitudes vanish (weight {norm:.3e}); no "
             f"post-selected state exists"
         )
-    amp_eg = xi1 / math.sqrt(norm)
-    amp_ge = xi2 / math.sqrt(norm)
-    theta = math.atan2((xi2 * xi1.conjugate()).imag,
-                       (xi2 * xi1.conjugate()).real)
-    if theta == -math.pi:
-        theta = math.pi
-    return ProjectedState(
-        amp_eg=amp_eg,
-        amp_ge=amp_ge,
-        norm=norm,
-        concurrence=2.0 * abs(amp_eg) * abs(amp_ge),
-        theta=theta,
-    )
+    return math.sqrt(norm)
+
+
+def _theta(xi1: complex, xi2: complex) -> float:
+    """arg(xi2 / xi1) in (-pi, pi]."""
+    z = xi2 * xi1.conjugate()
+    theta = math.atan2(z.imag, z.real)
+    return math.pi if theta == -math.pi else theta
 
 
 def _check_gamma_prime(gamma_prime: float) -> None:
@@ -165,13 +175,15 @@ def concurrence_map(
             delta = float(delta)
             try:
                 xi1, xi2 = _amplitudes(kd, e, w, delta, gamma_prime)[4:]
-                state = _project(xi1, xi2)
+                root = _root_weight(xi1, xi2)
             except (SingularSystem, EmptyProjection):
                 cells.append(ConcurrenceCell(kd, delta, math.nan, math.nan))
             else:
-                cells.append(
-                    ConcurrenceCell(kd, delta, state.concurrence, state.theta)
-                )
+                cells.append(ConcurrenceCell(
+                    kd, delta,
+                    2.0 * abs(xi1 / root) * abs(xi2 / root),
+                    _theta(xi1, xi2),
+                ))
     return cells
 
 

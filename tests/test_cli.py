@@ -232,6 +232,49 @@ class TestSpectrumOutput:
             assert T + R + Loss == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSpectrumTableNames:
+    # table names keep 6 significant digits, so these pairs share one name
+    COLLIDING = {
+        "repeated-kd": (["--kd", "1.0", "--kd", "1.0", "--gamma-nr", "0.1"],
+                        ("kd=1.0, gamma_nr=0.1", "kd=1.0, gamma_nr=0.1")),
+        "repeated-gamma-nr": (
+            ["--kd", "1.0", "--gamma-nr", "0.1", "--gamma-nr", "0.1"],
+            ("kd=1.0, gamma_nr=0.1", "kd=1.0, gamma_nr=0.1"),
+        ),
+        "kd-1e-7-apart": (
+            ["--kd", "1.0", "--kd", "1.0000001", "--gamma-nr", "0.1"],
+            ("kd=1.0, gamma_nr=0.1", "kd=1.0000001, gamma_nr=0.1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", COLLIDING)
+    @pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out"])
+    def test_colliding_names_are_rejected(self, capsys, tmp_path, case,
+                                          to_dir):
+        args, (first, second) = self.COLLIDING[case]
+        out = tmp_path / "run"
+        argv = ["--out", str(out)] if to_dir else []
+        code, stdout, err = run_main(capsys, *argv, "spectrum", *args,
+                                     "--n-points", "3")
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {first} and {second} give the same table "
+                       f"name spectrum_kd1_gnr0.1 (names keep 6 significant "
+                       f"digits)\n")
+        assert not out.exists()
+
+    def test_names_that_differ_in_6_digits_pass(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        code, _, _ = run_main(capsys, "--out", str(out), "spectrum",
+                              "--kd", "1.0", "--kd", "1.00001",
+                              "--gamma-nr", "0.1", "--n-points", "3")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        paths = [entry["path"] for entry in manifest["outputs"]]
+        assert paths == ["spectrum_kd1_gnr0.1_sr.csv",
+                         "spectrum_kd1.00001_gnr0.1_sr.csv",
+                         "spectrum_single_gp0.05.csv"]
+
+
 class TestNanHandling:
     SINGULAR = [
         "concurrence-map",
@@ -285,6 +328,64 @@ class TestCellFormat:
         cells = [v for t in result.tables for row in t.rows for v in row]
         assert cells
         assert {type(v) for v in cells} <= {int, float}
+
+
+def _reference_csv(table: cli.Table) -> str:
+    """The CSV writer's contract, one cell at a time."""
+    def cell(value):
+        return str(value) if isinstance(value, int) else f"{value:.17e}"
+
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(cell(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestTableCsv:
+    def test_signed_zeros_and_nan_in_a_repeating_column(self):
+        axis = [0.0, -0.0, math.nan, 0.5, -0.5]
+        rows = [[axis[i % 5], float(i)] for i in range(40)]
+        rows.append([-0.0, math.nan])
+        table = cli.Table("t", ["x", "y"], rows)
+        text = cli._table_csv(table)
+        assert text == _reference_csv(table)
+        cells = [line.split(",")[0] for line in text.split("\n")[1:6]]
+        assert cells == ["0.00000000000000000e+00",
+                         "-0.00000000000000000e+00", "nan",
+                         "5.00000000000000000e-01",
+                         "-5.00000000000000000e-01"]
+
+    def test_ints_beside_floats_keep_their_type(self):
+        # 1 == 1.0 and True == 1, so a shared key would print one for the
+        # other; each column repeats its values
+        rows = [[i % 2, float(i % 2), i % 3, True, 1.0] for i in range(30)]
+        rows += [[1.0, 1, 2.0, 1, True]]
+        table = cli.Table("t", ["a", "b", "c", "d", "e"], rows)
+        text = cli._table_csv(table)
+        assert text == _reference_csv(table)
+        assert text.split("\n")[2] == "1,1.00000000000000000e+00,1,True," \
+            "1.00000000000000000e+00"
+
+    def test_empty_table_is_the_header_line(self):
+        table = cli.Table("t", ["kd", "delta", "C"], [])
+        assert cli._table_csv(table) == "kd,delta,C\n"
+
+    def test_table_longer_than_one_block(self):
+        n = 2 * cli._CSV_BLOCK + 7
+        rows = [[float(i // 50), i * 0.1, i, math.sqrt(i)] for i in range(n)]
+        table = cli.Table("t", ["axis", "x", "i", "root"], rows)
+        text = cli._table_csv(table)
+        assert text == _reference_csv(table)
+        assert text.count("\n") == n + 1
+
+    @pytest.mark.parametrize("argv", TestCellFormat.SMALL,
+                             ids=lambda argv: argv[0])
+    def test_command_tables_match_the_reference(self, argv):
+        parser = cli._build_parser()
+        args = parser.parse_args(argv)
+        result = cli._COMMANDS[argv[0]][0](cli._resolve(argv[0], args, {}))
+        assert result.tables
+        for table in result.tables:
+            assert cli._table_csv(table) == _reference_csv(table)
 
 
 class TestOracleReport:

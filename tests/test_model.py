@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dotwire import model
+from dotwire import entanglement, model
 from dotwire.entanglement import concurrence_map
 from dotwire.errors import SingularSystem
 from dotwire.lattice import gamma_pm
@@ -295,3 +295,18 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
                     _linspace(-2.0, 2.0, 20), lossy)
     sweep_detuning(lossy, -3.0, 3.0, 201)
     assert len(calls) == 1
+
+
+def test_concurrence_map_builds_no_projected_state(monkeypatch):
+    # each cell goes straight from the amplitudes to (C, theta)
+    def refuse(*args, **kwargs):
+        raise AssertionError("concurrence_map built a ProjectedState")
+
+    monkeypatch.setattr(entanglement, "ProjectedState", refuse)
+    with pytest.raises(AssertionError):
+        entanglement.project_state(solve_two_dot(ModelParams(kd=1.0)))
+    lossy = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
+    cells = concurrence_map(_linspace(0.6 * math.pi, 2.4 * math.pi, 20),
+                            _linspace(-2.0, 2.0, 20), lossy)
+    assert len(cells) == 400
+    assert not any(math.isnan(c.concurrence) for c in cells)
