@@ -27,6 +27,7 @@ files are byte-identical across reruns; only the manifest carries timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -86,7 +87,11 @@ class _WarningCollector(logging.Handler):
         self.sink.append(self.format(record))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built once per process: parse_args
+    leaves it as it was, and a fresh build per call left allocations
+    alive in argparse."""
     parser = _Parser(
         prog="dotwire",
         description="Two-emitter waveguide scattering, entanglement, "

@@ -87,7 +87,8 @@ class StepTooLarge(DotwireError):
 
 
 class NotConverged(DotwireError):
-    """Time evolution ended before the emitter populations decayed."""
+    """Time evolution ended before the emitter populations decayed, or the
+    root iteration of the reflection-peak search reached its cap."""
 
     exit_code = 3
 

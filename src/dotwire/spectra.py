@@ -4,8 +4,10 @@ Both features are found in closed form. The reflection amplitude is a sum
 of two simple poles in the detuning (model._reflection_poles), so
 R = |r|^2 is a ratio of real polynomials and its stationary points are the
 real roots of a polynomial of degree at most 5; the reflection peak is the
-one of them with the largest R. The resonant-tunneling reflection minimum
-satisfies, in modulus form,
+one of them with the largest R. The polynomial algebra and its roots
+(Aberth-Ehrlich iteration) are plain Python, and every R goes through the
+scalar kernel of solve_two_dot, so the module loads no numpy. The
+resonant-tunneling reflection minimum satisfies, in modulus form,
 
     tan^2(kd) = 4*delta_min^2 + gamma_prime^2      (rates in GAMMA_PL units)
 
@@ -16,11 +18,17 @@ exist only at gamma_prime = 0.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, replace
 
-from .errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
+from .errors import (
+    NoMinimumInBracket,
+    NoPeakInBracket,
+    NotConverged,
+    SingularSystem,
+)
 from .model import (
     ModelParams,
     _amplitudes,
@@ -42,6 +50,8 @@ log = logging.getLogger(__name__)
 
 _POLE_EXCLUSION = 1e-3  # kd closer than this to an odd pi/2 is skipped
 _NEWTON_STEPS = 3
+_ABERTH_STEPS = 100  # sweeps before the root iteration gives up
+_ABERTH_TURN = 0.4  # start angle off the real axis, radians
 
 
 @dataclass(frozen=True)
@@ -110,23 +120,120 @@ def sweep_detuning(
     return rows
 
 
-def _reflection(
-    params: ModelParams, poles: list[tuple[complex, complex]], delta: float
-) -> float:
-    """R(delta) from solve_two_dot; at a removable singularity of r, where
-    the solve raises SingularSystem, from the partial fractions, which have
-    that factor cancelled."""
-    try:
-        return solve_two_dot(params.at_delta(delta)).R
-    except SingularSystem:
-        return abs(sum(c / (delta - z) for c, z in poles)) ** 2
-
-
 def _bracket(bracket: tuple[float, float]) -> tuple[float, float]:
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
+    if math.isinf(lo) or math.isinf(hi):
+        raise ValueError(f"bracket ends must be finite, got {bracket}")
     return lo, hi
+
+
+def _poly_mul(p, q) -> list:
+    """Product of two polynomials (coefficient sequences, highest power
+    first)."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_der(p) -> list:
+    """Derivative of a polynomial of degree >= 1, highest power first."""
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _horner(p, x):
+    """p(x) by Horner's rule, highest power first."""
+    value = 0.0
+    for c in p:
+        value = value * x + c
+    return value
+
+
+def _poly_roots(p) -> list[complex]:
+    """All roots of a real polynomial (highest power first), with
+    multiplicity, by Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 339
+    (1973)).
+
+    Exact leading zeros are dropped and exact trailing zeros give roots at
+    0, as numpy.roots does. The iterates start on the circles of the
+    Newton polygon (_aberth_start) and are updated in place, one at a
+    time. An iterate stops once it is a root of a nearby polynomial:
+    |p(z)| <= 2*n*eps * sum |c_i| |z|^i, the rounding level of Horner's
+    rule at degree n. A step-size test would not do: a lossless peak makes
+    a triple root, where the steps shrink only linearly. NotConverged,
+    never a stale iterate, if one still moves after _ABERTH_STEPS sweeps.
+    """
+    lead = next((i for i, c in enumerate(p) if c != 0), len(p))
+    coeffs = list(p[lead:])
+    zeros = []
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zeros.append(0j)
+    degree = len(coeffs) - 1
+    if degree < 1:
+        return zeros
+    sizes = [abs(c) for c in coeffs]
+    tolerance = 2 * degree * math.ulp(1.0)
+    roots = _aberth_start(sizes)
+    moving = list(range(degree))
+    for _ in range(_ABERTH_STEPS):
+        still = []
+        for k in moving:
+            z = roots[k]
+            value = slope = 0.0
+            scale, size_z = 0.0, abs(z)
+            for c, size in zip(coeffs, sizes):
+                slope = slope * z + value
+                value = value * z + c
+                scale = scale * size_z + size
+            if abs(value) <= tolerance * scale:
+                continue
+            still.append(k)
+            repulsion = 0.0
+            for j, x in enumerate(roots):
+                if j != k:
+                    repulsion += 1.0 / (z - x)
+            roots[k] = z - value / (slope - value * repulsion)
+        moving = still
+        if not moving:
+            return roots + zeros
+    raise NotConverged(
+        f"root iteration still moving after {_ABERTH_STEPS} sweeps on a "
+        f"degree-{degree} polynomial"
+    )
+
+
+def _aberth_start(sizes: list[float]) -> list[complex]:
+    """Starting points for the roots of a polynomial whose coefficients
+    (highest power first, both ends nonzero) have these moduli.
+
+    Each edge of the upper convex hull of the points (i, log|a_i|), a_i
+    the coefficient of z^i, spans as many roots as its width, of modulus
+    about exp(-slope); they are spread evenly on that circle, turned by
+    _ABERTH_TURN plus the edge's start off the real axis (Bini, Numer.
+    Algorithms 13, 179 (1996)).
+    """
+    degree = len(sizes) - 1
+    points = [(i, math.log(s)) for i, s in enumerate(reversed(sizes)) if s]
+    hull: list[tuple[int, float]] = []
+    for i, y in points:
+        while len(hull) >= 2 and (
+            (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+            <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((i, y))
+    roots = []
+    for (i0, y0), (i1, y1) in zip(hull, hull[1:]):
+        width, radius = i1 - i0, math.exp((y0 - y1) / (i1 - i0))
+        for j in range(width):
+            angle = 2 * math.pi * (j / width + i0 / degree) + _ABERTH_TURN
+            roots.append(radius * cmath.exp(1j * angle))
+    return roots
 
 
 def reflection_peak(
@@ -138,9 +245,12 @@ def reflection_peak(
     r is summed from its poles into one fraction num/den, so that
     R = |num|^2 / |den|^2 and the stationary points of R are the roots of
     the real polynomial |num|^2' |den|^2 - |num|^2 |den|^2' (degree <= 5).
-    Its roots are polished by Newton steps, and the real part of each root
-    inside the bracket is a candidate; the interior maximum is among them.
-    The candidate with the largest R (from solve_two_dot) is the peak.
+    Its roots are found by Aberth-Ehrlich iteration (_poly_roots) and
+    polished by Newton steps, and the real part of each root inside the
+    bracket is a candidate; the interior maximum is among them. The
+    candidate with the largest R is the peak; R is evaluated through the
+    scalar kernel of solve_two_dot, so R_peak equals
+    solve_two_dot(params.at_delta(delta_peak)).R bit for bit.
     R(delta) can be multi-modal (a reflection zero next to a narrow
     subradiant peak); every stationary point is a candidate, so the highest
     maximum is found. Quadratic maxima are located to about 1e-10. Lossless
@@ -148,37 +258,50 @@ def reflection_peak(
     position is anywhere on the machine-precision plateau (|delta| < ~5e-4)
     — the peak value is still exact. When no candidate has a larger R than
     both bracket edges, R has no interior maximum above its edge values
-    there: NoPeakInBracket.
+    there: NoPeakInBracket. NotConverged (never a stale root) if the root
+    iteration reaches its cap.
     """
-    import numpy as np  # only the peak search needs polynomial algebra
-
     lo, hi = _bracket(bracket)
     poles = _reflection_poles(params)
     # num/den + c/(delta - z); num keeps a zero leading coefficient, so
     # the two stay of equal length and no derivative below is empty
-    num, den = np.zeros(1, complex), np.ones(1, complex)
+    num, den = [0j], [1 + 0j]
     for c, z in poles:
-        factor = [1.0, -z]
-        num = np.convolve(num, factor) + c * np.concatenate(([0.0], den))
-        den = np.convolve(den, factor)
+        factor = (1.0, -z)
+        num = [a + c * b for a, b in zip(_poly_mul(num, factor), (0.0, *den))]
+        den = _poly_mul(den, factor)
     # |p(x)|^2 for real x, as a real polynomial (highest power first)
-    power_num = np.convolve(num, np.conj(num)).real
-    power_den = np.convolve(den, np.conj(den)).real
-    slope = (np.convolve(np.polyder(power_num), power_den)
-             - np.convolve(power_num, np.polyder(power_den)))
-    roots, d_slope = np.roots(slope), np.polyder(slope)
+    power_num = [v.real for v in _poly_mul(num, [a.conjugate() for a in num])]
+    power_den = [v.real for v in _poly_mul(den, [a.conjugate() for a in den])]
+    slope = [a - b for a, b in zip(
+        _poly_mul(_poly_der(power_num), power_den),
+        _poly_mul(power_num, _poly_der(power_den)),
+    )]
+    d_slope = _poly_der(slope)
+    roots = _poly_roots(slope)
     for _ in range(_NEWTON_STEPS):
         # d_slope vanishes exactly only at an exact multiple root: stay put
-        d = np.polyval(d_slope, roots)
-        roots = roots - np.divide(np.polyval(slope, roots), d,
-                                  out=np.zeros_like(roots), where=d != 0)
-    candidates = [
-        (_reflection(params, poles, x), x)
-        for x in map(float, roots.real) if lo < x < hi
-    ]
+        for i, x in enumerate(roots):
+            d = _horner(d_slope, x)
+            if d != 0:
+                roots[i] = x - _horner(slope, x) / d
+
+    e, w = _phase_and_coupling(params)
+
+    def reflection(delta: float) -> float:
+        # at a removable singularity of r, where the kernel raises
+        # SingularSystem, R comes from the partial fractions, which have
+        # that factor cancelled
+        try:
+            return abs(_amplitudes(params.kd, e, w, delta,
+                                   params.gamma_prime)[1]) ** 2
+        except SingularSystem:
+            return abs(sum(c / (delta - z) for c, z in poles)) ** 2
+
+    candidates = [(reflection(x), x)
+                  for x in (root.real for root in roots) if lo < x < hi]
     R_peak, delta_peak = max(candidates, default=(-math.inf, None))
-    if R_peak <= max(_reflection(params, poles, lo),
-                     _reflection(params, poles, hi)):
+    if R_peak <= max(reflection(lo), reflection(hi)):
         raise NoPeakInBracket(
             f"R(delta) has no interior maximum above its edge values on "
             f"[{lo}, {hi}] for kd={params.kd}"
@@ -202,8 +325,8 @@ def peak_position_curve(
     poles push the peak out of any fixed bracket), and kd points where the
     bracket holds no interior maximum are skipped with a warning — never
     interpolated. If params_base.k0d is None, k0d tracks kd. An empty
-    bracket raises ValueError before any kd is tried, and a non-finite kd
-    when it is reached.
+    bracket, or one with an infinite end, raises ValueError before any kd
+    is tried, and a non-finite kd when it is reached.
 
     Returns (records without collective term, records with it).
     """

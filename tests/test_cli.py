@@ -18,6 +18,7 @@ import pytest
 
 from dotwire import cli, errors, lattice
 from dotwire.cli import main
+from dotwire.config import OPTIONS
 from dotwire.errors import NotConverged
 from dotwire.model import solve_single_dot
 
@@ -84,6 +85,19 @@ class TestUsageErrors:
         )
         assert (code, out) == (1, "")
         assert "invalid bracket (3.0, -3.0)" in err
+
+    @pytest.mark.parametrize("flag, bracket", [
+        ("--bracket-lo=-inf", (-math.inf, 3.0)),
+        ("--bracket-hi=inf", (-3.0, math.inf)),
+    ], ids=["lo", "hi"])
+    def test_infinite_bracket_end(self, capsys, tmp_path, flag, bracket):
+        # refused before any kd is tried, so nothing is written
+        out = tmp_path / "run"
+        code, printed, err = run_main(capsys, "--out", str(out), "peaks",
+                                      flag)
+        assert (code, printed) == (1, "")
+        assert err == f"error: bracket ends must be finite, got {bracket}\n"
+        assert not out.exists()
 
     def test_storage_run_outlasting_the_mode_recurrence(self, capsys):
         code, out, err = run_main(capsys, "storage", "--sigma-t", "400")
@@ -476,6 +490,32 @@ class TestConfigResolution:
         assert len(out.strip().split("\n")) == 4
 
 
+class TestParserReuse:
+    # one parser serves every call in a process; no parsed value may carry
+    # over from one call to the next
+    def test_kd_from_one_call_is_not_kept(self, capsys, tmp_path):
+        argv = ["spectrum", "--sr", "off", "--n-points", "3"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, _, _ = run_main(capsys, "--out", str(first), *argv,
+                              "--kd", "1.0")
+        assert code == 0
+        assert run_main(capsys, "--out", str(second), *argv)[0] == 0
+        default = next(o.default for o in OPTIONS["spectrum"]
+                       if o.key == "kd")
+        kd = [json.loads((path / "manifest.json").read_text())["parameters"]
+              ["kd"] for path in (first, second)]
+        assert kd == [[1.0], list(default)]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_format_from_one_call_is_not_kept(self, capsys):
+        code, out, _ = run_main(capsys, "--format", "json", *TINY)
+        assert code == 0
+        assert json.loads(out)["columns"] == ["delta", "T", "R", "Loss"]
+        code, out, _ = run_main(capsys, *TINY)
+        assert code == 0
+        assert out.startswith("delta,T,R,Loss\n")
+
+
 class TestExitCodeContracts:
     def test_singular_point_is_2(self, capsys):
         code, _, err = run_main(
@@ -807,7 +847,7 @@ else:
         assert proc.returncode == 0, proc.stderr
         closed_form, after_peaks, after_storage = proc.stdout.split("\n")[:3]
         assert closed_form == ""
-        assert after_peaks == "numpy"
+        assert after_peaks == ""
         assert after_storage == "numpy dotwire.lattice dotwire.storage"
         for name in ("spectrum/spectrum_single_gp0.05.csv",
                      "concurrence-map/concurrence_map.csv",

@@ -21,7 +21,7 @@ from dotwire.model import (
     solve_two_dot,
     superradiant_rate,
 )
-from dotwire.spectra import _linspace, sweep_detuning
+from dotwire.spectra import _linspace, peak_position_curve, sweep_detuning
 from gates import worst
 
 
@@ -278,8 +278,9 @@ def test_amplitudes_continuous_near_singularity():
 
 
 def test_grid_functions_skip_the_relation_residual(monkeypatch):
-    # the residual is the public solve's check; the detuning sweep and the
-    # concurrence map solve every cell through the same kernel without it
+    # the residual is the public solve's check; the detuning sweep, the
+    # concurrence map and the peak search solve every point through the
+    # same kernel without it
     calls = []
     real = model.relation_residual
 
@@ -294,6 +295,9 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
     concurrence_map(_linspace(0.6 * math.pi, 2.4 * math.pi, 20),
                     _linspace(-2.0, 2.0, 20), lossy)
     sweep_detuning(lossy, -3.0, 3.0, 201)
+    without, with_sr = peak_position_curve(
+        _linspace(0.55 * math.pi, 1.45 * math.pi, 10), lossy)
+    assert len(without) == len(with_sr) == 10
     assert len(calls) == 1
 
 

@@ -9,11 +9,18 @@ import re
 import numpy as np
 import pytest
 
+from dotwire import spectra
 from dotwire.config import OPTIONS
-from dotwire.errors import NoMinimumInBracket, NoPeakInBracket, SingularSystem
-from dotwire.model import ModelParams, solve_two_dot
+from dotwire.errors import (
+    NoMinimumInBracket,
+    NoPeakInBracket,
+    NotConverged,
+    SingularSystem,
+)
+from dotwire.model import ModelParams, _reflection_poles, solve_two_dot
 from dotwire.spectra import (
     _linspace,
+    _poly_roots,
     peak_position_curve,
     reflection_minimum,
     reflection_peak,
@@ -35,6 +42,86 @@ def lossy_params(kd: float, with_sr: bool = False) -> ModelParams:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _numpy_peak_position(params: ModelParams, bracket) -> float:
+    """delta of the reflection peak by the numpy search the closed form
+    replaced: np.roots on the slope polynomial, three Newton steps, and R
+    of each candidate from solve_two_dot."""
+    lo, hi = bracket
+    poles = _reflection_poles(params)
+    num, den = np.zeros(1, complex), np.ones(1, complex)
+    for c, z in poles:
+        factor = [1.0, -z]
+        num = np.convolve(num, factor) + c * np.concatenate(([0.0], den))
+        den = np.convolve(den, factor)
+    power_num = np.convolve(num, np.conj(num)).real
+    power_den = np.convolve(den, np.conj(den)).real
+    slope = (np.convolve(np.polyder(power_num), power_den)
+             - np.convolve(power_num, np.polyder(power_den)))
+    roots, d_slope = np.roots(slope), np.polyder(slope)
+    for _ in range(3):
+        d = np.polyval(d_slope, roots)
+        roots = roots - np.divide(np.polyval(slope, roots), d,
+                                  out=np.zeros_like(roots), where=d != 0)
+
+    def reflection(delta):
+        try:
+            return solve_two_dot(params.at_delta(delta)).R
+        except SingularSystem:
+            return abs(sum(c / (delta - z) for c, z in poles)) ** 2
+
+    return max((reflection(x), x) for x in map(float, roots.real)
+               if lo < x < hi)[1]
+
+
+def _assert_roots_match(found, reference, tolerance):
+    """Each reference root has its own found root within tolerance times
+    max(1, |root|)."""
+    found = list(found)
+    assert len(found) == len(reference)
+    for z in reference:
+        nearest = min(found, key=lambda x: abs(x - z))
+        assert abs(nearest - z) <= tolerance * max(1.0, abs(z)), (z, found)
+        found.remove(nearest)
+
+
+class TestPolyRoots:
+    def test_random_polynomials_match_numpy(self):
+        rng = random.Random(2026)
+        for degree in range(1, 6):
+            for trial in range(40):
+                coeffs = [rng.gauss(0.0, 1.0) for _ in range(degree + 1)]
+                # exact zeros at the ends: leading ones are dropped, and
+                # trailing ones are roots at 0
+                coeffs = [0.0] * (trial % 3) + coeffs + [0.0] * (trial % 2)
+                roots = _poly_roots(coeffs)
+                _assert_roots_match(roots, np.roots(coeffs), 1e-9)
+                assert roots.count(0j) >= trial % 2
+
+    def test_triple_root(self):
+        # the slope at a lossless peak: a triple root, where the iterates
+        # stop on the backward error, not on their step size
+        coeffs = np.poly([0.3, 0.3, 0.3, -2.0, 1.5]).tolist()
+        roots = _poly_roots(coeffs)
+        _assert_roots_match(roots, [0.3, 0.3, 0.3, -2.0, 1.5], 1e-4)
+        _assert_roots_match(roots, np.roots(coeffs), 1e-4)
+        _assert_roots_match([z for z in roots if abs(z - 0.3) > 0.1],
+                            [-2.0, 1.5], 1e-12)
+
+    def test_near_double_root(self):
+        coeffs = np.poly([0.5, 0.5 + 1e-7, -2.0, 1 + 1j, 1 - 1j]).real
+        roots = _poly_roots(coeffs.tolist())
+        _assert_roots_match(roots, np.roots(coeffs), 5e-8)
+        near = sorted(z.real for z in roots if abs(z - 0.5) < 1e-3)
+        assert near[0] < 0.5 + 5e-8 < near[1]
+
+    def test_cap_raises_instead_of_returning_an_iterate(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_ABERTH_STEPS", 1)
+        with pytest.raises(NotConverged, match="after 1 sweeps"):
+            _poly_roots([1.0, -3.5, 3.0])
+        with pytest.raises(NotConverged):
+            reflection_peak(lossy_params(PI / 4))
 
 
 class TestLinspace:
@@ -179,6 +266,16 @@ class TestReflectionPeak:
         with pytest.raises(ValueError):
             reflection_peak(lossy_params(PI / 4), bracket=(2.0, -2.0))
 
+    @pytest.mark.parametrize("bracket", [(-math.inf, 3.0), (-3.0, math.inf),
+                                         (-math.inf, math.inf)])
+    def test_rejects_an_infinite_bracket_end(self, bracket):
+        message = re.escape(f"bracket ends must be finite, got {bracket}")
+        with pytest.raises(ValueError, match=message):
+            reflection_peak(lossy_params(PI / 4), bracket=bracket)
+        with pytest.raises(ValueError, match=message):
+            peak_position_curve([PI / 4], ModelParams(kd=1.0),
+                                bracket=bracket)
+
 
 class TestPeakPositionCurve:
     def test_skips_tangent_poles_and_separates_branches(self):
@@ -206,6 +303,27 @@ class TestPeakPositionCurve:
             kd_values, base, bracket=(p["bracket_lo"], p["bracket_hi"])
         )
         assert len(without) == len(with_sr) == p["n_kd"] == 46
+
+    def test_default_peaks_grid_matches_a_numpy_search(self):
+        # positions within 1e-9 of the numpy search; each R_peak is the
+        # public solve's R at that detuning, bit for bit
+        p = {option.key: option.default for option in OPTIONS["peaks"]}
+        base = ModelParams(kd=1.0, gamma0=p["gamma0"],
+                           gamma_nr=p["gamma_nr"])
+        bracket = (p["bracket_lo"], p["bracket_hi"])
+        without, with_sr = peak_position_curve(
+            _linspace(p["kd_min"], p["kd_max"], p["n_kd"]), base,
+            bracket=bracket,
+        )
+        assert len(without) + len(with_sr) == 92
+        for rec in without + with_sr:
+            params = ModelParams(kd=rec.kd, gamma0=p["gamma0"],
+                                 gamma_nr=p["gamma_nr"],
+                                 include_superradiance=rec.with_sr)
+            reference = _numpy_peak_position(params, bracket)
+            assert abs(rec.delta_peak - reference) <= 1e-9
+            assert rec.R_peak == solve_two_dot(
+                params.at_delta(rec.delta_peak)).R
 
     def test_rejects_bad_bracket_when_every_kd_is_skipped(self):
         base = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
