@@ -117,11 +117,6 @@ def _build_parser() -> _Parser:
 
 
 def _add_option(parser: _Parser, option: Option) -> None:
-    if option.switches:
-        for value, help_text in option.switches:
-            parser.add_argument(f"--{value}", action="store_const",
-                                const=value, dest=option.key, help=help_text)
-        return
     kwargs = {
         "float": {"type": float},
         "int": {"type": int},
@@ -243,8 +238,8 @@ def _cmd_phase(p: dict) -> CommandResult:
     ])
 
 
-def _oracle_points(mode: str) -> list[tuple[float, float, float, bool]]:
-    if mode == "quick":
+def _oracle_points(quick: bool) -> list[tuple[float, float, float, bool]]:
+    if quick:
         return [
             (0.25 * PI, -0.5, 0.0, False),
             (0.25 * PI, 0.0, 0.05, False),
@@ -270,8 +265,7 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
         kd, delta, gp, with_sr = point
         if with_sr:
             params = ModelParams(kd=kd, delta=delta, gamma0=gp / 2,
-                                 gamma_nr=gp / 2, k0d=kd,
-                                 include_superradiance=True)
+                                 gamma_nr=gp / 2, include_superradiance=True)
         else:
             params = ModelParams(kd=kd, delta=delta, gamma_nr=gp)
         exact = solve_two_dot(params)
@@ -302,13 +296,13 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
         )
         return entry
 
-    points = [check(point) for point in _oracle_points(p["mode"])]
+    points = [check(point) for point in _oracle_points(p["quick"])]
     finite = [max(pt["t_error"], pt["r_error"]) for pt in points
               if not math.isnan(pt["t_error"])]
     max_error = max(finite) if finite else math.nan
     all_ok = all(pt["within_tolerance"] for pt in points)
     report = {
-        "mode": p["mode"],
+        "mode": "quick" if p["quick"] else "full",
         "sigma_k": p["sigma_k"],
         "tolerance": tolerance,
         "n_points": len(points),

@@ -66,9 +66,7 @@ class Option:
     """One command option, --key-with-dashes on the command line.
 
     kind is "float", "int", "floats" (a list; the flag repeats), "flag" (a
-    bare flag sets True) or "choice" (one of choices). A choice with
-    switches has no --key flag; each (value, help) switch is a bare --value
-    flag instead.
+    bare flag sets True) or "choice" (one of choices).
     """
 
     key: str
@@ -76,7 +74,6 @@ class Option:
     default: object
     help: str | None = None
     choices: tuple[str, ...] = ()
-    switches: tuple[tuple[str, str], ...] = ()
 
     def parse(self, text: str) -> object:
         """Parse an INI value; ConfigError when it is malformed."""
@@ -136,10 +133,8 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("kd_policy", "choice", "even", choices=("even", "odd")),
     ),
     "oracle-verify": (
-        Option("mode", "choice", "full", choices=("full", "quick"),
-               switches=(
-                   ("quick", "three spot points instead of the full matrix"),
-               )),
+        Option("quick", "flag", False,
+               "three spot points instead of the full matrix"),
         Option("tolerance", "float", 1e-3),
         Option("sigma_k", "float", 0.02, "probe packet spectral width"),
     ),

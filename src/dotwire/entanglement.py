@@ -88,11 +88,7 @@ def project_state(sol: ScatteringSolution) -> ProjectedState:
     Raises EmptyProjection when both emitter amplitudes vanish (nothing was
     absorbed, so there is no post-selected state to normalize).
     """
-    return _project(sol.xi1, sol.xi2)
-
-
-def _project(xi1: complex, xi2: complex) -> ProjectedState:
-    """project_state from the emitter amplitudes alone."""
+    xi1, xi2 = sol.xi1, sol.xi2
     root = _root_weight(xi1, xi2)
     amp_eg = xi1 / root
     amp_ge = xi2 / root

@@ -6,8 +6,12 @@ R = |r|^2 is a ratio of real polynomials and its stationary points are the
 real roots of a polynomial of degree at most 5; the reflection peak is the
 one of them with the largest R. The polynomial algebra and its roots
 (Aberth-Ehrlich iteration) are plain Python, and every R goes through the
-scalar kernel of solve_two_dot, so the module loads no numpy. The
-resonant-tunneling reflection minimum satisfies, in modulus form,
+scalar kernel of solve_two_dot, so the module loads no numpy. The root
+iteration stops each root only once it is an exact root of a polynomial
+within the rounding level of Horner's rule of the computed one; that
+backward error, times the root's condition, is the accuracy of the peak
+position. The resonant-tunneling reflection minimum satisfies, in
+modulus form,
 
     tan^2(kd) = 4*delta_min^2 + gamma_prime^2      (rates in GAMMA_PL units)
 
@@ -49,7 +53,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _POLE_EXCLUSION = 1e-3  # kd closer than this to an odd pi/2 is skipped
-_NEWTON_STEPS = 3
 _ABERTH_STEPS = 100  # sweeps before the root iteration gives up
 _ABERTH_TURN = 0.4  # start angle off the real axis, radians
 
@@ -145,14 +148,6 @@ def _poly_der(p) -> list:
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _horner(p, x):
-    """p(x) by Horner's rule, highest power first."""
-    value = 0.0
-    for c in p:
-        value = value * x + c
-    return value
-
-
 def _poly_roots(p) -> list[complex]:
     """All roots of a real polynomial (highest power first), with
     multiplicity, by Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 339
@@ -245,18 +240,22 @@ def reflection_peak(
     r is summed from its poles into one fraction num/den, so that
     R = |num|^2 / |den|^2 and the stationary points of R are the roots of
     the real polynomial |num|^2' |den|^2 - |num|^2 |den|^2' (degree <= 5).
-    Its roots are found by Aberth-Ehrlich iteration (_poly_roots) and
-    polished by Newton steps, and the real part of each root inside the
-    bracket is a candidate; the interior maximum is among them. The
-    candidate with the largest R is the peak; R is evaluated through the
-    scalar kernel of solve_two_dot, so R_peak equals
+    Its roots are found by Aberth-Ehrlich iteration (_poly_roots), which
+    stops each of them on its backward error, and the real part of each
+    root inside the bracket is a candidate; the interior maximum is among
+    them. The candidate with the largest R is the peak; R is evaluated
+    through the scalar kernel of solve_two_dot, so R_peak equals
     solve_two_dot(params.at_delta(delta_peak)).R bit for bit.
     R(delta) can be multi-modal (a reflection zero next to a narrow
     subradiant peak); every stationary point is a candidate, so the highest
     maximum is found. Quadratic maxima are located to about 1e-10. Lossless
     maxima are quartically flat (1 - R ~ 0.1 * delta^4), so their returned
-    position is anywhere on the machine-precision plateau (|delta| < ~5e-4)
-    — the peak value is still exact. When no candidate has a larger R than
+    position is anywhere on the machine-precision plateau (|delta| < ~5e-4).
+    Their value is exact to rounding: R_peak is |r|^2 from the kernel and
+    lies within a few ulps of 1 on either side, so it can read above 1.
+    For the same reason a bracket that lies inside the plateau returns a
+    peak or raises NoPeakInBracket depending on the last bit of R at the
+    candidates against the edges. When no candidate has a larger R than
     both bracket edges, R has no interior maximum above its edge values
     there: NoPeakInBracket. NotConverged (never a stale root) if the root
     iteration reaches its cap.
@@ -277,14 +276,7 @@ def reflection_peak(
         _poly_mul(_poly_der(power_num), power_den),
         _poly_mul(power_num, _poly_der(power_den)),
     )]
-    d_slope = _poly_der(slope)
     roots = _poly_roots(slope)
-    for _ in range(_NEWTON_STEPS):
-        # d_slope vanishes exactly only at an exact multiple root: stay put
-        for i, x in enumerate(roots):
-            d = _horner(d_slope, x)
-            if d != 0:
-                roots[i] = x - _horner(slope, x) / d
 
     e, w = _phase_and_coupling(params)
 

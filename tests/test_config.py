@@ -59,7 +59,7 @@ SETTINGS = {
     ),
     "oracle-verify": (
         ["--quick", "--tolerance", "0.5", "--sigma-k", "0.03"],
-        "mode = quick\ntolerance = 0.5\nsigma_k = 0.03\n",
+        "quick = true\ntolerance = 0.5\nsigma_k = 0.03\n",
     ),
     "storage": (
         ["--pulse-ratio", "6", "--sigma-t", "12"],
@@ -191,6 +191,6 @@ class TestLoadConfig:
             load_config(path)
 
     def test_scientific_notation(self, tmp_path):
-        path = write(tmp_path, "[oracle-verify]\ntolerance = 1e-3\nmode = quick\n")
+        path = write(tmp_path, "[oracle-verify]\ntolerance = 1e-3\nquick = true\n")
         cfg = load_config(path)
-        assert cfg["oracle-verify"] == {"tolerance": 1e-3, "mode": "quick"}
+        assert cfg["oracle-verify"] == {"tolerance": 1e-3, "quick": True}

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 from importlib import import_module
+from pathlib import Path
+
+import pytest
 
 import dotwire
+
+# lattice names that stay behind their module: its internal building blocks
+_NOT_EXPORTED = {"LatticeSystem", "build_hamiltonian", "evolve"}
 
 
 def test_no_name_is_exported_twice():
@@ -16,3 +22,19 @@ def test_no_name_is_exported_twice():
 def test_lazy_names_are_exported_by_their_module():
     for name, module in dotwire._LAZY.items():
         assert name in import_module(f"dotwire.{module}").__all__, name
+
+
+def test_every_lazy_module_name_is_served():
+    # a name missing from _LAZY is not exported, and nothing else says so
+    for module in ("lattice", "storage"):
+        for name in import_module(f"dotwire.{module}").__all__:
+            if name not in _NOT_EXPORTED:
+                assert dotwire._LAZY.get(name) == module, name
+
+
+def test_version_matches_the_project_metadata():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert version == dotwire.__version__
