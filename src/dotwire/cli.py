@@ -22,6 +22,8 @@ echoes the effective parameters and lists every data file with a sha256
 checksum. An old manifest is removed before the first file is written, and
 each file is written under a temporary name and renamed into place. Data
 files are byte-identical across reruns; only the manifest carries timing.
+Warnings the library logs print to stderr as "warning: <logger>: <message>"
+once the command has run, in both modes; the manifest lists them too.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .config import OPTIONS, Option, load_config
 from .entanglement import concurrence_map, phase_scan
 from .errors import ConfigError, NotConverged
 from .model import ModelParams, solve_single_dot, solve_two_dot
-from .spectra import _linspace, peak_position_curve, sweep_detuning
+from .spectra import peak_position_curve, sweep_detuning
 
 __all__ = ["main"]
 
@@ -143,6 +145,24 @@ def _num(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of Python floats, equal to
+    it bit for bit, without importing numpy: point i is i*step + start, the
+    last point is stop, and a step that underflows to zero is applied as
+    (i/(num - 1))*(stop - start) instead, as numpy does."""
+    start, stop = float(start), float(stop)
+    div, span = num - 1, stop - start
+    if div <= 0:
+        return [0.0 * span + start for _ in range(num)]
+    step = span / div
+    if step == 0:
+        points = [i / div * span + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def _grid(p: dict, lo: str, hi: str, n: str, minimum: int = 1) -> list[float]:
     """The uniform grid from option lo to option hi with option n points;
     ValueError, naming the option, for a non-finite end or too few
@@ -194,8 +214,7 @@ def _cmd_spectrum(p: dict) -> CommandResult:
             params = ModelParams(kd=kd, gamma0=p["gamma0"], gamma_nr=gnr,
                                  include_superradiance=sr)
             rows = [[row.delta, row.T, row.R, row.Loss]
-                    for row in sweep_detuning(params, p["delta_min"],
-                                              p["delta_max"], p["n_points"])]
+                    for row in sweep_detuning(deltas, params)]
             tables.append(Table(f"{stem}_{'sr' if sr else 'nosr'}",
                                 ["delta", "T", "R", "Loss"], rows))
     tables.append(single_table())
@@ -506,6 +525,8 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(exc, "exit_code", 1)
     finally:
         root.removeHandler(collector)
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
     wall_time = time.perf_counter() - started
 
     fmt = args.format or result.default_format

@@ -87,7 +87,8 @@ _EDGE_ITER = 50
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Energy grid for one branch, with trapezoid quadrature weights.
+    """Energy grid for one branch. Each mode's weight is its
+    central-difference spacing np.gradient(nu), one-sided at the two ends.
 
     Energies are absolute (emitter resonance at 0); the packet carrier sits
     wherever the grid was centered.
@@ -234,7 +235,7 @@ def make_mode_grid(center: float) -> ModeGrid:
     line = np.arange(-_LINE_HALF, _LINE_HALF + 0.5 * _DK_LINE, _DK_LINE)
     line = line[np.abs(line - center) > (m + 0.5) * _DK_CORE]
     nu = np.sort(np.concatenate([core, line]))
-    return ModeGrid(nu=nu, weights=_trapezoid_weights(nu))
+    return ModeGrid(nu=nu, weights=np.gradient(nu))
 
 
 def uniform_mode_grid(half_width: float, dk: float) -> ModeGrid:
@@ -245,14 +246,6 @@ def uniform_mode_grid(half_width: float, dk: float) -> ModeGrid:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     nu = np.arange(-half_width, half_width + 0.5 * dk, dk)
     return ModeGrid(nu=nu, weights=np.full_like(nu, dk))
-
-
-def _trapezoid_weights(nu: np.ndarray) -> np.ndarray:
-    w = np.empty_like(nu)
-    w[1:-1] = 0.5 * (nu[2:] - nu[:-2])
-    w[0] = nu[1] - nu[0]
-    w[-1] = nu[-1] - nu[-2]
-    return w
 
 
 def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:

@@ -77,46 +77,19 @@ class PeakRecord:
     with_sr: bool
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) as a list of Python floats, equal to
-    it bit for bit, without importing numpy: point i is i*step + start, the
-    last point is stop, and a step that underflows to zero is applied as
-    (i/(num - 1))*(stop - start) instead, as numpy does."""
-    start, stop = float(start), float(stop)
-    div, span = num - 1, stop - start
-    if div <= 0:
-        return [0.0 * span + start for _ in range(num)]
-    step = span / div
-    if step == 0:
-        points = [i / div * span + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
-
-
-def sweep_detuning(
-    params: ModelParams,
-    delta_min: float,
-    delta_max: float,
-    n_points: int,
-) -> list[SpectrumRow]:
-    """Solve on a uniform detuning grid; params.delta is overridden per row.
+def sweep_detuning(delta_values, params: ModelParams) -> list[SpectrumRow]:
+    """Solve at each detuning of delta_values; params.delta is overridden
+    per row.
 
     Each row equals solve_two_dot at its detuning bit for bit, without the
     relation residual. SingularSystem propagates with the offending
     detuning in its message; a non-finite detuning raises ValueError.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if not delta_min < delta_max:
-        raise ValueError(
-            f"need delta_min < delta_max, got {delta_min} >= {delta_max}"
-        )
     e, w = _phase_and_coupling(params)
     kd, gamma_prime = params.kd, params.gamma_prime
     rows = []
-    for delta in _linspace(delta_min, delta_max, n_points):
+    for delta in delta_values:
+        delta = float(delta)
         t, r = _amplitudes(kd, e, w, delta, gamma_prime)[:2]
         T, R = abs(t) ** 2, abs(r) ** 2
         rows.append(SpectrumRow(delta, T, R, 1.0 - T - R))

@@ -594,14 +594,28 @@ class TestOutDirAndManifest:
     def test_manifest_lists_the_run_warnings(self, capsys, tmp_path):
         # kd = 1.5708 lies on the tangent pole and is skipped with a warning
         out = tmp_path / "run"
-        code, _, _ = run_main(capsys, "--out", str(out), "peaks",
-                              "--kd-min", "1.5708", "--kd-max", "2.0",
-                              "--n-kd", "2")
+        code, _, err = run_main(capsys, "--out", str(out), "peaks",
+                                "--kd-min", "1.5708", "--kd-max", "2.0",
+                                "--n-kd", "2")
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warnings"] == [
             "dotwire.spectra: skipping kd=1.570800: tangent pole"
         ]
+        assert err == ("warning: dotwire.spectra: skipping kd=1.570800: "
+                       "tangent pole\n")
+
+    def test_warnings_print_to_stderr_beside_a_stdout_table(self, capsys):
+        code, out, err = run_main(capsys, "peaks", "--kd-min", "1.5708",
+                                  "--kd-max", "2.0", "--n-kd", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "kd,delta_peak,R_peak,with_sr"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            f"{2.0:.17e}", f"{2.0:.17e}"
+        ]
+        assert err == ("warning: dotwire.spectra: skipping kd=1.570800: "
+                       "tangent pole\n")
 
     def test_no_peak_in_the_bracket_is_a_warning(self, capsys, tmp_path):
         # at kd = pi/4 the reflection peaks lie outside (1, 3): both curves

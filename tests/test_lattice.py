@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,8 +33,9 @@ class TestModeGrids:
         grid = make_mode_grid(0.7)
         assert np.all(np.diff(grid.nu) > 0)
         assert np.all(grid.weights > 0)
-        # trapezoid weights integrate the window span (the two edge modes
-        # carry full- rather than half-gap weights, hence the slack)
+        # central-difference weights integrate the window span (the two
+        # edge modes carry full- rather than half-gap weights, hence the
+        # slack)
         span = grid.nu[-1] - grid.nu[0]
         edge_gaps = float(grid.nu[1] - grid.nu[0] + grid.nu[-1] - grid.nu[-2])
         assert span <= float(np.sum(grid.weights)) <= span + edge_gaps
@@ -142,6 +144,16 @@ class TestSpectralInterval:
         assert hi - eigs[-1] <= 1e-6 * scale
         # computed once per system
         assert system.spectral_interval is system.spectral_interval
+
+    def test_non_finite_dot_block_raises_instead_of_an_edge(self):
+        system = dataclasses.replace(
+            build_hamiltonian(make_mode_grid(0.3),
+                              ModelParams(kd=1.0, delta=0.3)),
+            dot_block=np.full((2, 2), complex("nan")),
+        )
+        with pytest.raises(NotConverged,
+                           match="spectral edge not found in 50 Newton"):
+            system.spectral_interval
 
 
 class TestEvolve:
@@ -310,7 +322,7 @@ class TestScatteringOracle:
             1.44 + 8e-4 * np.arange(-300, 301), [delta],
             np.linspace(-3.5, 1.19, 120), np.linspace(1.69, 3.5, 60),
         ]))
-        grid = ModeGrid(nu=nu, weights=lattice._trapezoid_weights(nu))
+        grid = ModeGrid(nu=nu, weights=np.gradient(nu))
         params = ModelParams(kd=0.5265 * PI, delta=delta, gamma_nr=0.05)
         with pytest.raises(GridTooCoarse, match="not mirror-symmetric"):
             scattering_oracle(params, grid=grid)

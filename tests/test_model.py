@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dotwire import entanglement, model
+from dotwire.cli import _linspace
 from dotwire.entanglement import concurrence_map
 from dotwire.errors import SingularSystem
 from dotwire.lattice import gamma_pm
@@ -21,7 +22,7 @@ from dotwire.model import (
     solve_two_dot,
     superradiant_rate,
 )
-from dotwire.spectra import _linspace, peak_position_curve, sweep_detuning
+from dotwire.spectra import peak_position_curve, sweep_detuning
 from gates import worst
 
 
@@ -294,7 +295,7 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
     lossy = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
     concurrence_map(_linspace(0.6 * math.pi, 2.4 * math.pi, 20),
                     _linspace(-2.0, 2.0, 20), lossy)
-    sweep_detuning(lossy, -3.0, 3.0, 201)
+    sweep_detuning(_linspace(-3.0, 3.0, 201), lossy)
     without, with_sr = peak_position_curve(
         _linspace(0.55 * math.pi, 1.45 * math.pi, 10), lossy)
     assert len(without) == len(with_sr) == 10

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from importlib import import_module
 from pathlib import Path
 
@@ -11,6 +12,14 @@ import dotwire
 
 # lattice names that stay behind their module: its internal building blocks
 _NOT_EXPORTED = {"LatticeSystem", "build_hamiltonian", "evolve"}
+
+# private names one module may import from a sibling: the closed-form
+# kernel that spectra and entanglement share with model's solve
+_SHARED_PRIVATE = {
+    "model._amplitudes",
+    "model._phase_and_coupling",
+    "model._reflection_poles",
+}
 
 
 def test_no_name_is_exported_twice():
@@ -30,6 +39,19 @@ def test_every_lazy_module_name_is_served():
         for name in import_module(f"dotwire.{module}").__all__:
             if name not in _NOT_EXPORTED:
                 assert dotwire._LAZY.get(name) == module, name
+
+
+def test_only_the_kernel_crosses_between_modules_privately():
+    imported = set()
+    for path in Path(dotwire.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.startswith("__")
+                )
+    assert imported == _SHARED_PRIVATE
 
 
 def test_version_matches_the_project_metadata():

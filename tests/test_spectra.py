@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dotwire import spectra
+from dotwire.cli import _linspace
 from dotwire.config import OPTIONS
 from dotwire.errors import (
     NoMinimumInBracket,
@@ -19,7 +20,6 @@ from dotwire.errors import (
 )
 from dotwire.model import ModelParams, _reflection_poles, solve_two_dot
 from dotwire.spectra import (
-    _linspace,
     _poly_roots,
     peak_position_curve,
     reflection_minimum,
@@ -108,6 +108,15 @@ class TestPolyRoots:
                         scale = scale * abs(z) + abs(c)
                     assert abs(value) <= 2 * degree * 2.0**-52 * scale, z
 
+    @pytest.mark.parametrize("coeffs, roots", [
+        ([2.0, 0.0, 0.0], [0j, 0j]),
+        ([0.0, 3.0], []),
+    ], ids=["monomial", "constant"])
+    def test_monomial_and_constant(self, coeffs, roots):
+        # nothing left to iterate on once the zeros at the ends are gone
+        assert _poly_roots(coeffs) == roots
+        assert np.roots(coeffs).tolist() == roots
+
     def test_triple_root(self):
         # the slope at a lossless peak: a triple root, where the iterates
         # stop on the backward error, not on their step size
@@ -167,7 +176,7 @@ class TestLinspace:
 class TestSweepDetuning:
     def test_matches_pointwise_solve(self):
         params = lossy_params(PI / 4)
-        rows = sweep_detuning(params, -2.0, 2.0, 41)
+        rows = sweep_detuning(_linspace(-2.0, 2.0, 41), params)
         assert len(rows) == 41
         assert rows[0].delta == -2.0 and rows[-1].delta == 2.0
         mid = rows[20]
@@ -175,7 +184,8 @@ class TestSweepDetuning:
         assert mid.R == sol.R and mid.T == sol.T and mid.Loss == sol.Loss
 
     def test_lossless_rows_conserve_flux(self):
-        rows = sweep_detuning(ModelParams(kd=PI / 3), -3.0, 3.0, 101)
+        rows = sweep_detuning(_linspace(-3.0, 3.0, 101),
+                              ModelParams(kd=PI / 3))
         for row in rows:
             assert abs(row.T + row.R - 1.0) < 1e-12
             assert abs(row.Loss) < 1e-12
@@ -186,7 +196,7 @@ class TestSweepDetuning:
         lossy_params(1.3 * PI, with_sr=True),
     ], ids=["lossless", "lossy", "collective"])
     def test_every_row_equals_the_public_solve(self, params):
-        for row in sweep_detuning(params, -3.0, 3.0, 241):
+        for row in sweep_detuning(_linspace(-3.0, 3.0, 241), params):
             sol = solve_two_dot(params.at_delta(row.delta))
             assert (row.T, row.R, row.Loss) == (sol.T, sol.R, sol.Loss)
 
@@ -194,19 +204,12 @@ class TestSweepDetuning:
         # the message names the point: kd, the detuning and the loss
         where = f"kd={2 * PI}, delta=0.0, gamma_prime=0.0"
         with pytest.raises(SingularSystem, match=re.escape(where)):
-            sweep_detuning(ModelParams(kd=2 * PI), -1.0, 1.0, 21)
+            sweep_detuning(_linspace(-1.0, 1.0, 21), ModelParams(kd=2 * PI))
 
     @pytest.mark.parametrize("ends", [(-math.inf, 1.0), (-1.0, math.inf)])
     def test_rejects_an_infinite_end(self, ends):
         with pytest.raises(ValueError, match="delta must be finite"):
-            sweep_detuning(lossy_params(PI / 4), *ends, 11)
-
-    def test_rejects_bad_grid(self):
-        params = lossy_params(PI / 4)
-        with pytest.raises(ValueError):
-            sweep_detuning(params, 1.0, -1.0, 11)
-        with pytest.raises(ValueError):
-            sweep_detuning(params, -1.0, 1.0, 1)
+            sweep_detuning(ends, lossy_params(PI / 4))
 
 
 class TestReflectionPeak:

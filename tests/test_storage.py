@@ -129,6 +129,41 @@ class TestMatchedPulse:
         with pytest.raises(BandwidthTooWide):
             impedance_matched_pulse(10.0, t, gaussian_input(t, 4.0))
 
+    @pytest.mark.parametrize("population, raises", [
+        (1.1e-12, True), (1.5e-12, False),
+    ])
+    def test_control_cap_on_a_near_empty_sample(self, population, raises):
+        # sample 300 of the envelope is retuned until the designed
+        # population there, (1 - 1/P)*cum - env^2 with cum taken as the
+        # design takes it, is just above the floor 1e-12; dividing by its
+        # root drives |Omega| past 1e3 at 1.1e-12 (905 at 1.5e-12)
+        t = np.linspace(0.0, 110.0, 4001)
+        env = gaussian_input(t, 10.0)
+
+        def designed_population(value):
+            env[300] = value
+            norm2 = float(np.trapezoid(env**2, t))
+            areas = 0.5 * (env[1:] ** 2 + env[:-1] ** 2) * np.diff(t)
+            cum = 1.0 - norm2 + float(np.cumsum(areas)[299])
+            return 0.9 * cum - value**2
+
+        lo, hi = float(env[300]), 2.0 * float(env[300])
+        assert designed_population(lo) > population > designed_population(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if designed_population(mid) > population:
+                lo = mid
+            else:
+                hi = mid
+        designed_population(lo)
+        if raises:
+            with pytest.raises(PopulationUnderflow,
+                               match=r"exceeds \|Omega\| = 1000"):
+                impedance_matched_pulse(10.0, t, env)
+        else:
+            omega = impedance_matched_pulse(10.0, t, env).omega
+            assert 900.0 < float(np.max(np.abs(omega))) <= 1e3
+
     def test_pulse_ratio_too_close_to_one_underflows(self):
         t = storage_time_grid(StorageParams(pulse_ratio=1.05))
         with pytest.raises(PopulationUnderflow):
