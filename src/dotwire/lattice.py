@@ -8,9 +8,10 @@ and the transmitted/reflected amplitudes are read off at the carrier mode,
 whose energy is exactly 0: once the packet has passed, each mode of the
 linear lattice holds its input amplitude times the scattering amplitude at
 its energy (Shen & Fan, Opt. Lett. 30, 2001 (2005)). Agreement with the
-algebraic solver is then evidence for both. The series is sized by the exact
-extreme eigenvalues of the Hermitian part of H, found once per system from a
-2x2 secular equation (LatticeSystem.spectral_interval).
+algebraic solver is then evidence for both. The series is sized by the
+extreme eigenvalues of the Hermitian part of H, found once per system by
+bisection on the positive-definiteness test of a 2x2 Schur complement,
+between a diagonal entry and Weyl's bound (LatticeSystem.spectral_interval).
 
 Lattice layout (state vector of length 2*n + 2):
 
@@ -80,9 +81,6 @@ _RING = 16
 # spectral_interval's edges lie outside the spectrum by at most twice
 # this, relative to the larger of its two starts
 _EDGE_PAD = 2.5e-7
-# Newton steps per edge before spectral_interval gives up (it takes about
-# 15-18 from a diagonal start)
-_EDGE_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -150,13 +148,15 @@ class LatticeSystem:
         computed once per system.
 
         H_h = [[E, C], [C^H, D_h]] with E = diag(eps, eps), C = coupling and
-        D_h the Hermitian part of dot_block. Each edge comes from the 2x2
-        secular equation of _secular_edge, started at the extreme entry of
-        the diagonal [eps, Re diag D_h], which lies inside the spectrum (a
-        diagonal entry is a Rayleigh quotient). The lower edge is the upper
-        edge of -H_h. Each edge lies outside the spectrum by at most
-        2 * _EDGE_PAD of the larger start in magnitude, which is at most the
-        spectral radius of H_h.
+        D_h the Hermitian part of dot_block. _secular_edge brackets each
+        edge by bisection on the positive-definiteness test of a 2x2 Schur
+        complement, between the extreme entry of the diagonal
+        [eps, Re diag D_h], which lies inside the spectrum (a diagonal
+        entry is a Rayleigh quotient), and Weyl's bound, which lies
+        outside it. The lower edge is the upper edge of -H_h. Each edge
+        lies outside the spectrum by at most 2 * _EDGE_PAD of the larger
+        start in magnitude, which is at most the spectral radius of H_h.
+        NotConverged unless H is finite.
         """
         n = self.grid.n_modes
         right, left = self.coupling[:n], self.coupling[n:]
@@ -296,39 +296,31 @@ def _secular_edge(
     For lam > max(E), lam - H_h is positive definite exactly when the 2x2
     Schur complement S(lam) = lam - D_h - C^H (lam - E)^{-1} C is
     (Haynsworth inertia); weights holds C^H (lam - E)^{-1} C as in
-    LatticeSystem.spectral_interval. The smallest eigenvalue f(lam) of S,
-    in closed form, is increasing with slope >= 1 and concave there, so
-    Newton's method started at or below the top eigenvalue never passes it.
-    Each step goes pad further, so the first lam where S is found positive
-    definite lies at most pad above the edge; it is returned plus pad, which
-    covers rounding in that check (slope >= 1). start must lie at or below
-    the top eigenvalue of H_h.
+    LatticeSystem.spectral_interval. S grows with lam (slope >= 1), so the
+    test (a > 0 and a*d > |b|^2 for S = [[a, b], [conj(b), d]]) flips once,
+    at the edge. Bisection brackets it from start, which must lie at or
+    below the edge and at or above max(E), to Weyl's bound
+    max(E, Re diag D_h + |D_h[0, 1]|) + ||C||_F, which lies above it. The
+    bracket closes to pad, or to adjacent floats where pad is 0, and its
+    upper end is returned plus pad, which covers rounding in the test.
+    NotConverged unless that bound is finite.
     """
-    lam = max(start, float(np.max(eps))) + pad
-    for _ in range(_EDGE_ITER):
-        r = 1.0 / (lam - eps)
-        s = r.dot(weights)
-        ds = (r * r).dot(weights)
+    gershgorin = np.concatenate([eps, d_h.diagonal().real + abs(d_h[0, 1])])
+    hi = float(np.max(gershgorin) + np.sqrt(np.sum(weights[:, :2].real)))
+    if not math.isfinite(hi):
+        raise NotConverged(f"spectral edge bound is {hi}; H is not finite")
+    lo = start
+    while True:
+        lam = 0.5 * (lo + hi)
+        if hi - lo <= pad or not lo < lam < hi:
+            return hi + pad
+        s = (1.0 / (lam - eps)).dot(weights)
         a = lam - d_h[0, 0].real - s[0].real
         d = lam - d_h[1, 1].real - s[1].real
-        b = -d_h[0, 1] - s[2]
-        half_gap = 0.5 * (a - d)
-        root = math.hypot(half_gap, abs(b))
-        f = 0.5 * (a + d) - root
-        if f > 0.0:
-            return lam + pad
-        # dS/dlam = 1 + sum_k M_k / (lam - eps_k)^2; where the two
-        # eigenvalues of S meet, their mean slope is a supergradient
-        da, dd = 1.0 + ds[0].real, 1.0 + ds[1].real
-        slope = 0.5 * (da + dd)
-        if root > 0.0:
-            slope -= (half_gap * 0.5 * (da - dd)
-                      + (b.conjugate() * ds[2]).real) / root
-        lam += pad - f / slope
-    raise NotConverged(
-        f"spectral edge not found in {_EDGE_ITER} Newton steps "
-        f"(last {lam!r}); is H finite?"
-    )
+        if a > 0.0 and a * d > abs(d_h[0, 1] + s[2]) ** 2:
+            hi = lam
+        else:
+            lo = lam
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -415,10 +407,11 @@ def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
     coupling block and the 2x2 dot_block. The real part of H's numerical
     range, and so of every eigenvalue, is the numerical range of the
     Hermitian part H_h = (H + H^H) / 2, whose extreme eigenvalues
-    system.spectral_interval finds to about 1e-6 relative, on the outer
-    side, once per system. Loss and the collective decay term only move
-    eigenvalues below the real axis; a gain would move them above it, and
-    the norm check below catches it. With a the half-width of that
+    system.spectral_interval brackets by bisection on a 2x2 Schur test,
+    between a diagonal entry and Weyl's bound, to about 1e-6 relative, on
+    the outer side, once per system. Loss and the collective decay term
+    only move eigenvalues below the real axis; a gain would move them above
+    it, and the norm check below catches it. With a the half-width of that
     interval, the series of Bessel coefficients (-i)^k J_k(a*t) is cut
     where they fall below 1e-14, a little past k = a*t, so a call costs
     about a*t applications of H and is accurate to rounding for any t.
@@ -488,9 +481,12 @@ def scattering_oracle(
     asymmetry = float(np.max(np.abs(offsets + offsets[::-1])))
     if asymmetry > _MIRROR_TOL:
         raise GridTooCoarse(
-            f"the packet band of the grid is not mirror-symmetric about the "
-            f"carrier (worst mismatch {asymmetry:.3e}, limit {_MIRROR_TOL}); "
-            f"make_mode_grid builds a symmetric one"
+            f"the packet band, 4*sigma_k = {4.0 * packet.sigma_k:.4g} either "
+            f"side of the carrier, is not mirror-symmetric (worst mismatch "
+            f"{asymmetry:.3e}, limit {_MIRROR_TOL}); make_mode_grid mirrors "
+            f"only its uniform core, half-width "
+            f"{math.ceil(_CORE_HALF / _DK_CORE) * _DK_CORE:.4g}: narrow the "
+            f"packet (smaller sigma_k)"
         )
 
     f = _make_packet(system, packet)

@@ -545,6 +545,16 @@ class TestExitCodeContracts:
         assert code == 3
         assert "error:" in err
 
+    def test_packet_wider_than_the_grid_core_is_3(self, capsys):
+        # 4 * 0.07 reaches past make_mode_grid's uniform core, whose
+        # line-patch neighbours do not mirror about the carrier
+        code, _, err = run_main(
+            capsys, "oracle-verify", "--quick", "--sigma-k", "0.07"
+        )
+        assert code == 3
+        assert "4*sigma_k = 0.28 either side" in err
+        assert "uniform core, half-width 0.2504: narrow the packet" in err
+
     # the README's exit-code table, class by class
     EXIT_CODES = {
         "DotwireError": 1, "ConfigError": 1,

@@ -145,6 +145,45 @@ class TestSpectralInterval:
         # computed once per system
         assert system.spectral_interval is system.spectral_interval
 
+    def test_encloses_seeded_small_systems_tightly(self):
+        # 20 uniform and 20 sorted random grids of at most 150 modes, with
+        # random kd, delta and losses, the collective term on and off
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            if i % 2:
+                dk = rng.uniform(0.04, 0.2)
+                grid = uniform_mode_grid(rng.uniform(0.5, min(3.0, 74 * dk)),
+                                         dk)
+            else:
+                nu = np.sort(rng.uniform(-3.0, 3.0, rng.integers(2, 151)))
+                grid = ModeGrid(nu=nu, weights=np.gradient(nu))
+            params = ModelParams(
+                kd=rng.uniform(0.05, 4 * PI), delta=rng.uniform(-3.0, 3.0),
+                gamma0=rng.uniform(0.0, 0.3), gamma_nr=rng.uniform(0.0, 0.3),
+                include_superradiance=i % 4 < 2,
+            )
+            system = build_hamiltonian(grid, params)
+            dense = system.to_dense()
+            eigs = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+            lo, hi = system.spectral_interval
+            scale = float(np.max(np.abs(eigs)))
+            assert 0.0 <= eigs[0] - lo <= 1e-6 * scale, i
+            assert 0.0 <= hi - eigs[-1] <= 1e-6 * scale, i
+
+    def test_one_mode_lattice_at_its_carrier(self):
+        # eps and the dot diagonal are all 0, so both diagonal starts and
+        # the pad are 0: the edges close to adjacent floats
+        system = build_hamiltonian(
+            ModeGrid(nu=np.array([0.0]), weights=np.array([0.1])),
+            ModelParams(kd=1.0),
+        )
+        dense = system.to_dense()
+        eigs = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+        assert eigs[[0, -1]] == pytest.approx([-0.43746, 0.47261], abs=1e-5)
+        lo, hi = system.spectral_interval
+        assert lo <= eigs[0] and eigs[-1] <= hi
+        assert hi - lo <= (eigs[-1] - eigs[0]) * (1.0 + 1e-12)
+
     def test_non_finite_dot_block_raises_instead_of_an_edge(self):
         system = dataclasses.replace(
             build_hamiltonian(make_mode_grid(0.3),
@@ -152,7 +191,7 @@ class TestSpectralInterval:
             dot_block=np.full((2, 2), complex("nan")),
         )
         with pytest.raises(NotConverged,
-                           match="spectral edge not found in 50 Newton"):
+                           match="spectral edge bound is nan; H is not"):
             system.spectral_interval
 
 
