@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import logging
 import math
 import os
@@ -416,6 +414,7 @@ def _table_doc(table: Table) -> dict:
 
 
 def _json_text(doc) -> str:
+    import json  # only JSON output and the manifest need it, not start-up
     return json.dumps(_nulls(doc), indent=2) + "\n"
 
 
@@ -456,6 +455,7 @@ def _write_outputs(
     wall_time: float,
     warnings: list[str],
 ) -> None:
+    import hashlib  # only the manifest needs it, not start-up
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -18,7 +18,6 @@ sections or keys are rejected rather than ignored, so typos fail loudly:
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,6 +152,7 @@ def load_config(path: str | Path) -> dict[str, dict[str, object]]:
     Returns {section: {key: parsed value}}. Raises ConfigError for a
     missing file, unknown section, unknown key, or malformed value.
     """
+    import configparser  # only a config file needs it, not start-up
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")

@@ -24,6 +24,7 @@ is designed to expose.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .errors import EmptyProjection, SingularSystem, TangentPole
@@ -60,26 +61,19 @@ class ProjectedState:
     theta: float
 
 
-@dataclass(frozen=True)
-class ConcurrenceCell:
+class ConcurrenceCell(namedtuple("ConcurrenceCell",
+                                 "kd delta concurrence theta")):
     """One cell of a (kd, delta) concurrence map; NaN marks a point where
     the scattering system is singular."""
 
-    kd: float
-    delta: float
-    concurrence: float
-    theta: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(namedtuple("PhasePoint", "delta kd theta concurrence")):
     """One point of a relative-phase scan along a constant-concurrence
     branch."""
 
-    delta: float
-    kd: float
-    theta: float
-    concurrence: float
+    __slots__ = ()
 
 
 def project_state(sol: ScatteringSolution) -> ProjectedState:
@@ -198,7 +192,8 @@ def phase_scan(
     kd_policy selects the branch: "even" follows the curve around kd = 2*pi,
     "odd" around kd = pi. At gamma_prime = 0 the branch passes through the
     decoupled point at delta = 0, where theta is assigned its limit along
-    the curve (pi on the even branch, 0 on the odd one) with C = 1.
+    the curve (pi on the even branch, 0 on the odd one) with C = 1. Other
+    points equal project_state(solve_two_dot(...)) bit for bit.
     """
     if kd_policy not in ("even", "odd"):
         raise ValueError(f"kd_policy must be 'even' or 'odd', got {kd_policy!r}")
@@ -213,7 +208,9 @@ def phase_scan(
             limit = math.pi if kd_policy == "even" else 0.0
             points.append(PhasePoint(delta, kd, limit, 1.0))
             continue
-        params = ModelParams(kd=kd, delta=delta, gamma_nr=gamma_prime)
-        state = project_state(solve_two_dot(params))
-        points.append(PhasePoint(delta, kd, state.theta, state.concurrence))
+        sol = solve_two_dot(ModelParams(kd, delta, gamma_nr=gamma_prime))
+        xi1, xi2 = sol.xi1, sol.xi2
+        root = _root_weight(xi1, xi2)
+        points.append(PhasePoint(delta, kd, _theta(xi1, xi2),
+                                 2.0 * abs(xi1 / root) * abs(xi2 / root)))
     return points

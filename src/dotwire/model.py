@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import SingularSystem
 
@@ -63,10 +63,14 @@ class ModelParams:
     include_superradiance: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("kd", "delta", "gamma0", "gamma_nr", "k0d"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        isfinite, k0d = math.isfinite, self.k0d
+        if not (isfinite(self.kd) and isfinite(self.delta)
+                and isfinite(self.gamma0) and isfinite(self.gamma_nr)
+                and (k0d is None or isfinite(k0d))):
+            for name in ("kd", "delta", "gamma0", "gamma_nr", "k0d"):
+                value = getattr(self, name)
+                if value is not None and not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
         if self.gamma_nr < 0:
@@ -99,7 +103,7 @@ class ScatteringSolution:
     t, r:       transmission / reflection amplitudes
     a, b:       right-/left-moving amplitudes between the emitters
     xi1, xi2:   excitation amplitudes of emitter 1 (at x=0) and 2 (at x=d)
-    T, R, Loss: |t|^2, |r|^2, 1 - T - R
+    T, R, Loss: |t|^2, |r|^2, 1 - T - R, properties computed on access
     residual:   worst relative residual of the coefficient relations; the
                 solve functions compute it, and the grids of sweep_detuning
                 and concurrence_map, which build no solution, skip it
@@ -111,17 +115,19 @@ class ScatteringSolution:
     b: complex
     xi1: complex
     xi2: complex
-    T: float = field(init=False)
-    R: float = field(init=False)
-    Loss: float = field(init=False)
     residual: float = 0.0
 
-    def __post_init__(self) -> None:
-        T = abs(self.t) ** 2
-        R = abs(self.r) ** 2
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Loss", 1.0 - T - R)
+    @property
+    def T(self) -> float:
+        return abs(self.t) ** 2
+
+    @property
+    def R(self) -> float:
+        return abs(self.r) ** 2
+
+    @property
+    def Loss(self) -> float:
+        return 1.0 - self.T - self.R
 
 
 def superradiant_rate(k0d: float, gamma0: float) -> float:
@@ -272,13 +278,17 @@ def relation_residual(
         (r, g_over_iv * (xi1 + xi2 * e)),
     )
     amp_scale = max(1.0, abs(xi1), abs(xi2))
-    errors = [
-        abs(lhs - rhs) / max(amp_scale, abs(lhs), abs(rhs))
-        for lhs, rhs in pairs
-    ]
-    # max() drops a NaN; the errors are >= 0, so their sum is NaN exactly
-    # when one of them is
-    return math.nan if math.isnan(sum(errors)) else max(errors)
+    worst = 0.0
+    for lhs, rhs in pairs:
+        # max(amp_scale, |lhs|, |rhs|), comparison for comparison
+        size_l, size_r = abs(lhs), abs(rhs)
+        scale = size_l if size_l > amp_scale else amp_scale
+        error = abs(lhs - rhs) / (size_r if size_r > scale else scale)
+        if error != error:  # NaN, which the comparison below would drop
+            return math.nan
+        if error > worst:
+            worst = error
+    return worst
 
 
 def solve_single_dot(gamma_prime: float, delta: float) -> ScatteringSolution:

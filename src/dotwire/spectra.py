@@ -25,7 +25,8 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 
 from .errors import (
     NoMinimumInBracket,
@@ -57,24 +58,16 @@ _ABERTH_STEPS = 100  # sweeps before the root iteration gives up
 _ABERTH_TURN = 0.4  # start angle off the real axis, radians
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(namedtuple("SpectrumRow", "delta T R Loss")):
     """One point of a detuning sweep."""
 
-    delta: float
-    T: float
-    R: float
-    Loss: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PeakRecord:
+class PeakRecord(namedtuple("PeakRecord", "kd delta_peak R_peak with_sr")):
     """A located reflection maximum."""
 
-    kd: float
-    delta_peak: float
-    R_peak: float
-    with_sr: bool
+    __slots__ = ()
 
 
 def sweep_detuning(delta_values, params: ModelParams) -> list[SpectrumRow]:

@@ -879,6 +879,35 @@ else:
                      "storage/storage.csv"):
             assert (tmp_path / name).is_file(), name
 
+    def test_start_up_defers_output_and_config_modules(self, tmp_path):
+        # the site module preloads some of these on some hosts, so only
+        # what the package import itself adds is checked
+        child = """
+import sys
+
+before = set(sys.modules)
+import dotwire
+from dotwire import cli
+
+added = set(sys.modules) - before
+print(" ".join(name for name in ("hashlib", "json", "configparser", "typing")
+               if name in added))
+assert cli.main(["--config", sys.argv[1], "--out", sys.argv[2], "phase"]) == 0
+"""
+        config = tmp_path / "dotwire.ini"
+        config.write_text("[phase]\nn_points = 3\ngamma_prime = 0.05\n")
+        out = tmp_path / "out"
+        proc = _child("-c", child, str(config), str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["n_points"] == 3
+        assert manifest["parameters"]["gamma_prime"] == [0.05]
+        (entry,) = manifest["outputs"]
+        payload = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
+        assert payload.count(b"\n") == 1 + 3
+
     def test_quick_verification_passes_then_fails_tolerance(self):
         passing = self.run("oracle-verify", "--quick")
         assert passing.returncode == 0

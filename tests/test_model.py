@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from dotwire import entanglement, model
 from dotwire.cli import _linspace
-from dotwire.entanglement import concurrence_map
+from dotwire.config import OPTIONS
+from dotwire.entanglement import concurrence_map, phase_scan, project_state
 from dotwire.errors import SingularSystem
 from dotwire.lattice import gamma_pm
 from dotwire.model import (
@@ -315,3 +317,128 @@ def test_concurrence_map_builds_no_projected_state(monkeypatch):
                             _linspace(-2.0, 2.0, 20), lossy)
     assert len(cells) == 400
     assert not any(math.isnan(c.concurrence) for c in cells)
+
+
+def test_phase_scan_builds_no_projected_state(monkeypatch):
+    # each point takes (C, theta) from the amplitudes of its one public
+    # solve, equal to project_state of that solve bit for bit
+    defaults = {option.key: option.default for option in OPTIONS["phase"]}
+    deltas = _linspace(defaults["delta_min"], defaults["delta_max"],
+                       defaults["n_points"])
+    cases = [(gp, policy) for gp in (0.0, 0.05) for policy in ("even", "odd")]
+    expected = {}
+    for gp, policy in cases:
+        for delta in deltas:
+            if gp == 0.0 and delta == 0.0:
+                continue  # the assigned limit point, which is not solved
+            kd = entanglement._branch_kd(delta, gp, policy)
+            state = project_state(solve_two_dot(
+                ModelParams(kd=kd, delta=delta, gamma_nr=gp)))
+            expected[gp, policy, delta] = (repr(state.theta),
+                                           repr(state.concurrence))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase_scan built a ProjectedState")
+
+    solves, residuals = [], []
+
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(entanglement, "ProjectedState", refuse)
+    monkeypatch.setattr(entanglement, "solve_two_dot",
+                        counted(solves, entanglement.solve_two_dot))
+    monkeypatch.setattr(model, "relation_residual",
+                        counted(residuals, model.relation_residual))
+    for gp, policy in cases:
+        del solves[:], residuals[:]
+        points = phase_scan(deltas, gp, kd_policy=policy)
+        assert len(points) == len(deltas)
+        solved = [pt for pt in points if (gp, policy, pt.delta) in expected]
+        assert len(solves) == len(residuals) == len(solved)
+        assert len(solved) == len(deltas) - (gp == 0.0)
+        for pt in solved:
+            assert (repr(pt.theta), repr(pt.concurrence)) == \
+                expected[gp, policy, pt.delta]
+
+
+def test_probabilities_are_their_expressions():
+    solutions = [
+        solve_two_dot(ModelParams(kd=kd, delta=delta, gamma0=gp / 2,
+                                  gamma_nr=gp / 2, include_superradiance=sr))
+        for kd in (0.3, 1.0, 0.5 * math.pi, 2.5)
+        for delta in (-1.7, -0.2, 0.0, 0.4, 3.0)
+        for gp in (0.0, 0.05)
+        for sr in (False, True)
+    ] + [
+        solve_single_dot(gp, delta)
+        for delta in (-1.7, -0.2, 0.0, 0.4, 3.0, 1e9)
+        for gp in (0.0, 0.05, 2.0)
+    ]
+    for sol in solutions:
+        T, R = abs(sol.t) ** 2, abs(sol.r) ** 2
+        assert repr((sol.T, sol.R, sol.Loss)) == repr((T, R, 1.0 - T - R))
+
+
+def _list_residual(params, t, r, a, b, xi1, xi2):
+    """relation_residual as first written, a list of errors reduced by sum
+    and max, kept as the reference for the single-loop form."""
+    g = model.G_COUPLING
+    gp = params.gamma_prime
+    e, s_sr = model._phase_and_collective(params)
+    d_loss = params.delta + 0.5j * gp
+    g_over_iv = g / (1j * model.V_G)
+    pairs = (
+        (g * (2 * a * e + 2 * b / e) - s_sr * xi1, d_loss * xi2),
+        (g * (1 + a + r + b) - s_sr * xi2, d_loss * xi1),
+        (a, 1.0 + g_over_iv * xi1),
+        (b, g_over_iv * xi2 * e),
+        (t, 1.0 + g_over_iv * (xi1 + xi2 / e)),
+        (r, g_over_iv * (xi1 + xi2 * e)),
+    )
+    amp_scale = max(1.0, abs(xi1), abs(xi2))
+    errors = [
+        abs(lhs - rhs) / max(amp_scale, abs(lhs), abs(rhs))
+        for lhs, rhs in pairs
+    ]
+    return math.nan if math.isnan(sum(errors)) else max(errors)
+
+
+def test_relation_residual_matches_the_list_form():
+    rng = random.Random(20261020)
+    specials = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+    outcomes = []
+    while len(outcomes) < 5000:
+        gp = rng.choice((0.0, rng.uniform(0.0, 0.5)))
+        params = ModelParams(
+            kd=rng.uniform(0.01, 7.0), delta=rng.uniform(-4.0, 4.0),
+            gamma0=gp / 2, gamma_nr=gp / 2,
+            include_superradiance=rng.random() < 0.3 and gp > 0,
+            k0d=rng.choice((None, rng.uniform(0.1, 7.0))))
+        try:
+            amplitudes = list(model._amplitudes(
+                params.kd, *model._phase_and_coupling(params),
+                params.delta, params.gamma_prime))
+        except SingularSystem:
+            continue
+        for k in range(6):
+            if rng.random() < 0.3:
+                amplitudes[k] *= 1.0 + complex(rng.gauss(0.0, 1e-3),
+                                               rng.gauss(0.0, 1e-3))
+            if rng.random() < 0.05:
+                part = rng.choice(specials)
+                amplitudes[k] = (complex(part, amplitudes[k].imag)
+                                 if rng.random() < 0.5
+                                 else complex(amplitudes[k].real, part))
+        residual = relation_residual(params, *amplitudes)
+        assert repr(residual) == repr(_list_residual(params, *amplitudes)), \
+            (params, amplitudes)
+        outcomes.append(residual)
+    # the draw reaches clean, large and NaN figures alike
+    assert any(residual < 1e-12 for residual in outcomes)
+    assert any(1e-6 < residual < 1.0 for residual in outcomes)
+    assert any(math.isnan(residual) for residual in outcomes)
+

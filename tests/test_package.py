@@ -60,3 +60,23 @@ def test_version_matches_the_project_metadata():
     with open(pyproject, "rb") as handle:
         version = tomllib.load(handle)["project"]["version"]
     assert version == dotwire.__version__
+
+
+@pytest.mark.parametrize("record, fields", [
+    (dotwire.SpectrumRow, ("delta", "T", "R", "Loss")),
+    (dotwire.PeakRecord, ("kd", "delta_peak", "R_peak", "with_sr")),
+    (dotwire.ConcurrenceCell, ("kd", "delta", "concurrence", "theta")),
+    (dotwire.PhasePoint, ("delta", "kd", "theta", "concurrence")),
+])
+def test_result_records_are_immutable_tuples(record, fields):
+    assert record._fields == fields
+    values = (0.5, -1.25, 0.75, 2.0)
+    built = record(*values)
+    assert built == record(**dict(zip(fields, values))) == values
+    assert [getattr(built, name) for name in fields] == list(values)
+    assert record.__doc__ and not record.__doc__.startswith(record.__name__)
+    assert not hasattr(built, "__dict__")
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, 1.0)
+
