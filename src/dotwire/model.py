@@ -169,10 +169,11 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
     this function computes the relation residual: sweep_detuning and
     concurrence_map call the same solve, _amplitudes, and skip it.
     """
-    e, w = _phase_and_coupling(params)
+    e, s_sr = _phase_and_collective(params)
+    w = 0.5j * GAMMA_PL * e + s_sr  # as _phase_and_coupling forms it
     t, r, a, b, xi1, xi2 = _amplitudes(params.kd, e, w, params.delta,
                                        params.gamma_prime)
-    residual = relation_residual(params, t, r, a, b, xi1, xi2)
+    residual = _relation_residual(params, e, s_sr, t, r, a, b, xi1, xi2)
     return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
                               residual=residual)
 
@@ -261,9 +262,15 @@ def relation_residual(
     the relations is returned; it is NaN when any relation term is NaN or
     infinite, never a clean figure.
     """
+    return _relation_residual(params, *_phase_and_collective(params),
+                              t, r, a, b, xi1, xi2)
+
+
+def _relation_residual(params, e, s_sr, t, r, a, b, xi1, xi2):
+    """relation_residual with e, s_sr = _phase_and_collective(params) given,
+    so that solve_two_dot forms them once."""
     g = G_COUPLING
     gp = params.gamma_prime
-    e, s_sr = _phase_and_collective(params)
     d_loss = params.delta + 0.5j * gp
     g_over_iv = g / (1j * V_G)
 

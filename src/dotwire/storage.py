@@ -33,13 +33,16 @@ bit for bit. It steps with a second-order splitting of exact pieces, the
 mode phases and the emitter-control kick (McLachlan & Quispel, Acta
 Numerica 11, 341 (2002)), one step per interval of the control grid.
 The emitters see the modes only through one scalar per step, so the run
-is evaluated through the memory kernel of the bath: the loop over steps
-carries scalars and a closed-form kick, and the sums over the modes are
-chirp-z transforms done with numpy FFTs. The memory sum is a causal
-convolution, done block by block as a uniformly partitioned overlap-save
-convolution: each block of B steps costs one 2B-point FFT and, for the
-b-th block, one 2B-point IFFT of a sum of b spectrum products, that is
-O(2B log 2B + b*2B) (see _run_lattice).
+is evaluated through the memory kernel of the bath: the kicks are in
+closed form, and the sums over the modes are chirp-z transforms done with
+numpy FFTs. The memory sum is a causal convolution, done block by block
+as a uniformly partitioned overlap-save convolution: each block of B
+steps costs one 2B-point FFT and, for the b-th block, one 2B-point IFFT
+of a sum of b spectrum products, that is O(2B log 2B + b*2B). Inside a
+block, the steps are linear in the memory they receive, so every
+sub-block of 8 steps is one small linear map, built for the whole block
+at once; walking a block costs two small matrix-vector products per
+sub-block (see _run_lattice).
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ _CONTROL_DT = 0.09
 # a block, through spectra of twice this length across blocks (256 and 512
 # measured alike, 128 slower)
 _BLOCK = 512
+# each block is walked in sub-blocks of this many steps, one linear map
+# each (4, 8, 12, 16 and 32 measured 18.7, 16.2, 16.8, 19.0 and 29 ms on a
+# sigma_t = 20 run)
+_SUB = 8
 _PEAK_SIGMAS = 5.0
 _SPAN_SIGMAS = 11.0
 # a step may turn the emitter-control kick block by at most this many
@@ -267,10 +274,53 @@ def impedance_matched_pulse(
     return MatchedPulse(omega=omega, stored_amplitude=cm)
 
 
-def _matched_control(params: StorageParams, t_grid: np.ndarray) -> np.ndarray:
-    """The impedance-matched control for the default Gaussian envelope."""
+def _coupling(
+    params: StorageParams, nu: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """q = g/|g| and |g| for the coupling g of the symmetric branch
+    combination of the modes nu to the bright excited state."""
+    # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
+    g = np.full(nu.shape, 2.0 * math.sqrt(
+        0.5 * GAMMA_PL * params.dk / (4.0 * math.pi)
+    ))
+    g_norm = math.sqrt(g.dot(g))
+    return g / g_norm, g_norm
+
+
+def _step_turn(
+    dt: float, g_norm: float, gp: float, om_mid: np.ndarray
+) -> float:
+    """dt * ||G||_2 of the kick generator (see _kicks) at the largest |om|
+    in om_mid: the most a step turns the coupling block, in radians."""
+    r = math.hypot(g_norm, float(np.max(np.abs(om_mid))))
+    return dt * (0.25 * abs(gp) + math.sqrt(gp * gp / 16.0 + r * r))
+
+
+def _matched_control(
+    params: StorageParams, t_grid: np.ndarray, nu: np.ndarray
+) -> np.ndarray:
+    """The impedance-matched control for the default Gaussian envelope.
+
+    Raises as impedance_matched_pulse does, and PopulationUnderflow when the
+    control breaks the step limit of the lattice on nu: a design that holds
+    the control off and then switches it on with a spike is not realizable
+    at this sampling step, however the lattice runs it.
+    """
     envelope = gaussian_input(t_grid, params.sigma_t)
-    return impedance_matched_pulse(params.pulse_ratio, t_grid, envelope).omega
+    pulse = impedance_matched_pulse(params.pulse_ratio, t_grid, envelope)
+    om_mid = 0.5 * (pulse.omega[:-1] + pulse.omega[1:])
+    turn = _step_turn(float(t_grid[1] - t_grid[0]), _coupling(params, nu)[1],
+                      params.gamma_prime, om_mid)
+    if turn > _COUPLING_STEP_LIMIT:
+        spike = int(np.argmax(np.abs(pulse.omega)))
+        held = int(np.sum(pulse.omega[:spike] == 0.0))
+        raise PopulationUnderflow(
+            f"matched design holds the control off for {held} samples, "
+            f"then switches it on at |Omega| = {abs(pulse.omega[spike]):.3g}, "
+            f"which turns the coupling block by {turn:.3f} rad/step (limit "
+            f"{_COUPLING_STEP_LIMIT}); increase pulse_ratio or sigma_t"
+        )
+    return pulse.omega
 
 
 def _input_modes(params: StorageParams, nu: np.ndarray) -> np.ndarray:
@@ -331,6 +381,39 @@ def _kicks(dt: float, a: float, gp: float, om: np.ndarray):
             cos - 0.25 * gp * sin, -1j * r * sin)
 
 
+def _sub_block_maps(kicks: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Linear maps of n sub-blocks of S steps each.
+
+    kicks holds (kap, w, z, x11, x12) of _kicks for each step, with shape
+    (5, n, S), and lags[d] = K(d) for d < S. A sub-block takes the inputs
+    (e, m, c_0 .. c_{S-1}), where c_i is the memory of every step before
+    the sub-block, and gives (delta_0 .. delta_{S-1}, e', m'); step i adds
+    the memory K(i - l) * delta_l of the steps l < i inside the sub-block to
+    c_i. Returns the (n, S + 2, S + 2) matrices of those maps, found by
+    running the steps on the S + 2 basis inputs at once.
+    """
+    n, sub = kicks.shape[1:]
+    # rows[i] = delta_i for each sub-block and basis input
+    rows = np.empty((sub + 2, n, sub + 2), dtype=complex)
+    e = np.zeros((n, sub + 2), dtype=complex)
+    m = np.zeros_like(e)
+    e[:, 0] = m[:, 1] = 1.0
+    for i, (kap, w, z, x11, x12) in enumerate(
+        kicks.transpose(2, 0, 1)[..., None]
+    ):
+        c = np.dot(lags[i:0:-1], rows[:i].reshape(i, e.size))
+        c = c.reshape(e.shape)
+        c[:, i + 2] += 1.0
+        # b is the u2 coordinate of (c, e, m) and h its change; the v0
+        # coordinate does not change (see _kicks)
+        b = kap * c + w * m
+        h = z * b + x12 * e
+        np.multiply(kap, h, out=rows[i])
+        e, m = x12 * b + x11 * e, m + w.conj() * h
+    rows[sub], rows[sub + 1] = e, m
+    return np.ascontiguousarray(rows.transpose(1, 0, 2))
+
+
 def _run_lattice(
     params: StorageParams,
     t_grid: np.ndarray,
@@ -367,15 +450,22 @@ def _run_lattice(
         field = exp(-i*nu*N*dt) psi0
                 + q * sum_l exp(-i*nu*(N - l + 1/2)*dt) delta_l
 
-    On the uniform grid K, s and the field are chirp-z transforms. The loop
-    over steps carries only scalars and runs in blocks of B = _BLOCK steps;
-    a dot adds the memory inside the block. The memory of earlier blocks is
-    a uniformly partitioned overlap-save convolution (Stockham, AFIPS SJCC
+    On the uniform grid K, s and the field are chirp-z transforms. The
+    steps run in blocks of B = _BLOCK. The memory of earlier blocks is a
+    uniformly partitioned overlap-save convolution (Stockham, AFIPS SJCC
     28, 229 (1966)): H_d is the 2B-point spectrum of the kernel segment
     K((d-1)B .. (d+1)B - 1), all of them from one batched FFT, and X_s that
     of block s's delta, zero-padded, taken once the block is done. Block b
     adds entries B .. 2B-1 of IFFT(sum_{s<b} X_s H_{b-s}) to its c_j before
-    its loop starts, at O(2B log 2B + b*2B) per block.
+    its steps run, at O(2B log 2B + b*2B) per block. Inside a block the
+    steps run in sub-blocks of S = _SUB, the last one padded with identity
+    steps. A step is linear in (c_j, e, m), so each sub-block is one
+    (S+2)x(S+2) map from (e, m, c_0 .. c_{S-1}) to (delta_0 ..
+    delta_{S-1}, e', m') that holds the memory K(1 .. S-1) inside it; the
+    maps of a block are built together (_sub_block_maps). Sub-block k then
+    costs two matrix-vector products: one with the Hankel slice
+    K(kS - l + i) that adds the memory of the block's earlier steps l < kS
+    to its c_i, and one with its map.
 
     ValueError unless omega is finite and sampled on t_grid. StepTooLarge
     when dt * ||G||_2 at the largest |om| exceeds 0.25 rad (the control is
@@ -391,22 +481,16 @@ def _run_lattice(
         )
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite at every sample")
-    # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
-    g = np.full(nu.shape, 2.0 * math.sqrt(
-        0.5 * GAMMA_PL * params.dk / (4.0 * math.pi)
-    ))
-    g_norm = math.sqrt(g.dot(g))
-    q = g / g_norm
+    q, g_norm = _coupling(params, nu)
     gp = params.gamma_prime
 
     dt = float(t_grid[1] - t_grid[0])
     n_steps = t_grid.size - 1
     om_mid = 0.5 * (omega[:-1] + omega[1:])
-    r = math.hypot(g_norm, float(np.max(np.abs(om_mid))))
-    rate = 0.25 * abs(gp) + math.sqrt(gp * gp / 16.0 + r * r)
-    if dt * rate > _COUPLING_STEP_LIMIT:
+    turn = _step_turn(dt, g_norm, gp, om_mid)
+    if turn > _COUPLING_STEP_LIMIT:
         raise StepTooLarge(
-            f"dt={dt:.3e} turns the coupling block by {dt * rate:.3f} "
+            f"dt={dt:.3e} turns the coupling block by {turn:.3f} "
             f"rad/step (limit {_COUPLING_STEP_LIMIT}); the control is too "
             f"strong for its sampling step"
         )
@@ -420,6 +504,7 @@ def _run_lattice(
     coef = origin[:-1] * _chirp_sum(q * half * psi0, theta, n_steps)
 
     block = min(_BLOCK, n_steps)
+    sub = min(_SUB, block)
     n_blocks = -(-n_steps // block)
     # segments_f[d - 1] is the spectrum of K((d - 1)*block ... (d + 1)*block
     # - 1), zero past the end of the kernel, for d = 1 .. n_blocks - 1
@@ -429,10 +514,17 @@ def _run_lattice(
     segments_f = np.fft.fft(np.hstack((parts[:-1], parts[1:])), axis=1)
     # spectra[s] = FFT of block s's delta, zero-padded to 2*block
     spectra = np.empty_like(segments_f)
-    near = kernel[block:0:-1]  # near[u] = K(block - u)
+    # near[p] = K(p), zero past the kernel, which only padded steps reach
+    near = np.zeros(block + sub, dtype=complex)
+    near[:min(near.size, kernel.size)] = kernel[:near.size]
+    # recent[block - s0 + l] = K(s0 - l .. s0 - l + sub - 1), the weights of
+    # step l of a block in the sub-block that starts at its step s0
+    recent = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(near, sub)[block:0:-1]
+    )
     delta = np.empty(n_steps, dtype=complex)
     # [bright excited, symmetric metastable]
-    e, m = 0j, complex(metastable0)
+    em = np.array([0j, metastable0])
     for blk, j0 in enumerate(range(0, n_steps, block)):
         j1 = min(j0 + block, n_steps)
         if blk:
@@ -442,20 +534,30 @@ def _run_lattice(
                 "sk,sk->k", spectra[:blk], segments_f[blk - 1::-1]
             ))
             coef[j0:j1] += conv[block:block + j1 - j0]
-        done = delta[j0:j1]
-        rows = zip(coef[j0:j1].tolist(), *(
-            x.tolist() for x in _kicks(dt, g_norm, gp, om_mid[j0:j1])
-        ))
-        for i, (c, kap, w, z, x11, x12) in enumerate(rows):
-            c += near[block - i:].dot(done[:i]).item()
-            # b is the u2 coordinate of (c, e, m) and h its change; the
-            # v0 coordinate does not change (see _kicks)
-            b = kap * c + w * m
-            h = z * b + x12 * e
-            done[i] = kap * h
-            e, m = x12 * b + x11 * e, m + w.conjugate() * h
+        n_sub = -(-(j1 - j0) // sub)
+        # identity steps pad the last sub-block
+        kicks = np.zeros((5, n_sub * sub), dtype=complex)
+        kicks[3] = 1.0
+        kicks[:, :j1 - j0] = _kicks(dt, g_norm, gp, om_mid[j0:j1])
+        maps = _sub_block_maps(kicks.reshape(5, n_sub, sub), near[:sub])
+        coefs = np.zeros((n_sub, sub), dtype=complex)
+        coefs.flat[:j1 - j0] = coef[j0:j1]
+        # work[s0 .. s0 + sub + 1] holds (e, m, c_0 .. c_{sub-1}) of the
+        # sub-block at s0, and its map writes (delta_0 .. delta_{sub-1}, e',
+        # m') over them, so the deltas of the block pile up in step order
+        # and e', m' land where the next sub-block reads e, m
+        work = np.empty(n_sub * sub + 2, dtype=complex)
+        work[:2] = em
+        for s0, step_map, c in zip(range(0, n_sub * sub, sub), maps, coefs):
+            window = work[s0:s0 + sub + 2]
+            # the memory of the earlier sub-blocks of this block
+            window[2:] = c + work[:s0].dot(recent[block - s0:])
+            window[:] = step_map.dot(window)
+        delta[j0:j1] = work[:j1 - j0]
+        em = work[-2:]
         if j1 < n_steps:
-            spectra[blk] = np.fft.fft(done, 2 * block)
+            spectra[blk] = np.fft.fft(delta[j0:j1], 2 * block)
+    e, m = em.tolist()
     # free the spectra before the field's chirp-z sum raises the peak
     del parts, segments_f, spectra
 
@@ -491,9 +593,9 @@ def simulate_storage(
     control for the default Gaussian envelope is designed first. A given
     omega must be finite and sampled on storage_time_grid (ValueError)."""
     t_grid = storage_time_grid(params)
-    if omega is None:
-        omega = _matched_control(params, t_grid)
     nu = uniform_mode_grid(params.half_width, params.dk).nu
+    if omega is None:
+        omega = _matched_control(params, t_grid, nu)
     return _run_lattice(params, t_grid, omega, nu, _input_modes(params, nu),
                         metastable0=0.0)
 
@@ -538,9 +640,9 @@ def retrieve(
             f"stored_amplitude must be finite, got {stored_amplitude}"
         )
     t_grid = storage_time_grid(params)
-    if omega is None:
-        omega = _matched_control(params, t_grid)[::-1]
     nu = uniform_mode_grid(params.half_width, params.dk).nu
+    if omega is None:
+        omega = _matched_control(params, t_grid, nu)[::-1]
     run = _run_lattice(params, t_grid, omega, nu,
                        np.zeros(nu.size, dtype=complex), stored_amplitude)
     emitted_norm = run.output_norm

@@ -531,6 +531,16 @@ class TestExitCodeContracts:
         assert code == 2
         assert "error:" in err
 
+    def test_design_switching_on_too_hard_is_2(self, capsys):
+        # an infeasible design, not a numerical failure of the lattice
+        code, out, err = run_main(
+            capsys, "storage", "--pulse-ratio", "10.350611616634874",
+            "--sigma-t", "5.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "holds the control off" in err
+
     def test_bandwidth_is_2(self, capsys):
         code, _, err = run_main(
             capsys, "storage", "--pulse-ratio", "5", "--sigma-t", "4"

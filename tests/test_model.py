@@ -285,13 +285,13 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
     # concurrence map and the peak search solve every point through the
     # same kernel without it
     calls = []
-    real = model.relation_residual
+    real = model._relation_residual
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(model, "relation_residual", counted)
+    monkeypatch.setattr(model, "_relation_residual", counted)
     solve_two_dot(ModelParams(kd=1.0))
     assert len(calls) == 1  # the counter sees the public solve
     lossy = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
@@ -302,6 +302,29 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
         _linspace(0.55 * math.pi, 1.45 * math.pi, 10), lossy)
     assert len(without) == len(with_sr) == 10
     assert len(calls) == 1
+
+
+def test_solve_forms_the_phase_once(monkeypatch):
+    # the amplitudes and the residual share one e = exp(i*kd) and s_sr, and
+    # the residual reads as the public relation_residual, bit for bit
+    calls = []
+    real = model._phase_and_collective
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    cases = [ModelParams(kd=kd, delta=delta, gamma0=0.025, gamma_nr=0.025,
+                         include_superradiance=sr)
+             for kd in (0.3, 1.0, 2.5) for delta in (-1.7, 0.0, 0.4)
+             for sr in (False, True)]
+    monkeypatch.setattr(model, "_phase_and_collective", counted)
+    solutions = [solve_two_dot(params) for params in cases]
+    assert len(calls) == len(cases)
+    monkeypatch.undo()
+    for params, sol in zip(cases, solutions):
+        assert repr(sol.residual) == repr(relation_residual(
+            params, sol.t, sol.r, sol.a, sol.b, sol.xi1, sol.xi2))
 
 
 def test_concurrence_map_builds_no_projected_state(monkeypatch):
@@ -351,8 +374,8 @@ def test_phase_scan_builds_no_projected_state(monkeypatch):
     monkeypatch.setattr(entanglement, "ProjectedState", refuse)
     monkeypatch.setattr(entanglement, "solve_two_dot",
                         counted(solves, entanglement.solve_two_dot))
-    monkeypatch.setattr(model, "relation_residual",
-                        counted(residuals, model.relation_residual))
+    monkeypatch.setattr(model, "_relation_residual",
+                        counted(residuals, model._relation_residual))
     for gp, policy in cases:
         del solves[:], residuals[:]
         points = phase_scan(deltas, gp, kd_policy=policy)

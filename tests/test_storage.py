@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,48 @@ class TestStorageEfficiency:
         with pytest.raises(StepTooLarge, match="control is too strong"):
             simulate_storage(p, omega=np.full(t.shape, 1.001 * lo))
 
+    @pytest.mark.parametrize("entry", ["simulate", "retrieve"])
+    def test_design_switching_on_too_hard_underflows(self, entry):
+        # the design holds the control off for 136 samples and then needs
+        # |Omega| = 24.7, which no lattice at this sampling step can run
+        p = StorageParams(pulse_ratio=10.350611616634874, sigma_t=5.1)
+        t = storage_time_grid(p)
+        omega = impedance_matched_pulse(
+            p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
+        ).omega
+        assert np.all(omega[:136] == 0.0) and abs(omega[136]) > 24.0
+        with pytest.raises(PopulationUnderflow,
+                           match="holds the control off for 136 samples"):
+            if entry == "simulate":
+                simulate_storage(p)
+            else:
+                retrieve(p, 0.9)
+        # the same control given by hand still meets the lattice's own guard
+        with pytest.raises(StepTooLarge, match="control is too strong"):
+            simulate_storage(p, omega=omega)
+
+    def test_run_memory_stays_bounded(self):
+        # a sigma_t = 20 run peaks at 2.38 MB of traced allocations; the
+        # kicks of the whole run at once would read 3.17 MB
+        p = StorageParams(pulse_ratio=12.3, sigma_t=20.0)
+        t = storage_time_grid(p)
+        omega = impedance_matched_pulse(
+            p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
+        ).omega
+        simulate_storage(p, omega=omega)  # first-call set-up is not the run
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_storage(p, omega=omega)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2.6e6
+
     def test_norm_growth_raises(self, monkeypatch):
         # gain on the bright level passes the step check; the norm check
         # after the run catches it
@@ -405,22 +448,42 @@ class TestMemoryKernelEngine:
         assert abs(run.bright_m - m) < 1e-12
         assert np.max(np.abs(run.field - field)) < 1e-12
 
-    @pytest.mark.parametrize("block", [1, 7, 611, 5000])
-    def test_memory_partition_edges(self, monkeypatch, block):
-        # 2444 steps: one-step blocks, a ragged last block, blocks that
-        # divide the run exactly, and one block longer than the run
-        monkeypatch.setattr(storage, "_BLOCK", block)
+    @pytest.fixture(scope="class")
+    def partition_runs(self):
+        """(omega, f_in, metastable0) and the stepwise splitting's (field,
+        e, m) for a stored matched pulse, a stored complex constant control
+        and a read-out of 0.9 with the time-reversed matched pulse."""
         p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
         t = storage_time_grid(p)
-        assert t.size - 1 == 2444
-        omega = impedance_matched_pulse(
+        nu = uniform_mode_grid(p.half_width, p.dk).nu
+        matched = impedance_matched_pulse(
             p.pulse_ratio, t, gaussian_input(t, p.sigma_t)
         ).omega
-        run = simulate_storage(p, omega=omega)
-        field, e, m = _stepwise_splitting(p, omega, run.f_in)
-        assert abs(run.bright_e - e) < 1e-12
-        assert abs(run.bright_m - m) < 1e-12
-        assert np.max(np.abs(run.field - field)) < 1e-12
+        f_in = storage._input_modes(p, nu)
+        cases = [(matched, f_in, 0.0),
+                 (np.full(t.shape, 0.1 + 0.2j), f_in, 0.0),
+                 (matched[::-1].copy(), np.zeros(nu.size, complex), 0.9)]
+        return p, t, nu, [
+            (case, _stepwise_splitting(p, case[0], case[1], case[2]))
+            for case in cases
+        ]
+
+    @pytest.mark.parametrize("block", [1, 7, 611, 5000])
+    def test_memory_partition_edges(self, monkeypatch, partition_runs, block):
+        # 2444 steps: one-step blocks, a ragged last block, blocks that
+        # divide the run exactly, and one block longer than the run; against
+        # each, one-step sub-blocks, a ragged last sub-block, sub-blocks
+        # longer than their block and one longer than the run
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        p, t, nu, runs = partition_runs
+        assert t.size - 1 == 2444
+        for sub in (1, 3, 8, 700):
+            monkeypatch.setattr(storage, "_SUB", sub)
+            for (omega, f_in, metastable0), (field, e, m) in runs:
+                run = _run_lattice(p, t, omega, nu, f_in, metastable0)
+                assert abs(run.bright_e - e) < 1e-12, sub
+                assert abs(run.bright_m - m) < 1e-12, sub
+                assert np.max(np.abs(run.field - field)) < 1e-12, sub
 
     def test_retrieval_matches_stepwise_splitting(self):
         p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
