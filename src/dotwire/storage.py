@@ -84,9 +84,9 @@ _CONTROL_DT = 0.09
 # a block, through spectra of twice this length across blocks (256 and 512
 # measured alike, 128 slower)
 _BLOCK = 512
-# each block is walked in sub-blocks of this many steps, one linear map
-# each (4, 8, 12, 16 and 32 measured 18.7, 16.2, 16.8, 19.0 and 29 ms on a
-# sigma_t = 20 run)
+# a block is walked in sub-blocks of this many steps, one linear map each
+# (a sigma_t = 20 run took 23.1, 20.4, 24.1, 25.8 and 36.1 ms at 4, 8, 12,
+# 16 and 32, medians of 25 runs on 2 vCPUs)
 _SUB = 8
 _PEAK_SIGMAS = 5.0
 _SPAN_SIGMAS = 11.0

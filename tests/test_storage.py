@@ -326,7 +326,7 @@ class TestStorageEfficiency:
 
     def test_run_memory_stays_bounded(self):
         # a sigma_t = 20 run peaks at 2.38 MB of traced allocations; the
-        # kicks of the whole run at once would read 3.17 MB
+        # kicks of the whole run at once read 3.49 MB
         p = StorageParams(pulse_ratio=12.3, sigma_t=20.0)
         t = storage_time_grid(p)
         omega = impedance_matched_pulse(
