@@ -33,6 +33,7 @@ import functools
 import logging
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -71,7 +72,17 @@ class CommandResult:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the interface reserves 2
-    for domain-contract violations, so usage errors become ConfigError."""
+    for domain-contract violations, so usage errors become ConfigError.
+
+    argparse takes only -N and -N.N for negative numbers, and any other
+    leading-minus token, such as -1e-3 or -inf, for an option, which leaves
+    the option before it without a value. Here a minus followed by a digit,
+    a dot and a digit, inf or nan starts a value; no option starts so."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse API
         raise ConfigError(message)

@@ -32,7 +32,7 @@ from .model import (
     ModelParams,
     ScatteringSolution,
     _amplitudes,
-    _phase_and_coupling,
+    _pair,
     solve_two_dot,
 )
 
@@ -83,35 +83,32 @@ def project_state(sol: ScatteringSolution) -> ProjectedState:
     absorbed, so there is no post-selected state to normalize).
     """
     xi1, xi2 = sol.xi1, sol.xi2
-    root = _root_weight(xi1, xi2)
-    amp_eg = xi1 / root
-    amp_ge = xi2 / root
+    root, concurrence, theta = _post_select(xi1, xi2)
     return ProjectedState(
-        amp_eg=amp_eg,
-        amp_ge=amp_ge,
+        amp_eg=xi1 / root,
+        amp_ge=xi2 / root,
         norm=abs(xi1) ** 2 + abs(xi2) ** 2,
-        concurrence=2.0 * abs(amp_eg) * abs(amp_ge),
-        theta=_theta(xi1, xi2),
+        concurrence=concurrence,
+        theta=theta,
     )
 
 
-def _root_weight(xi1: complex, xi2: complex) -> float:
-    """sqrt(|xi1|^2 + |xi2|^2); EmptyProjection when the weight is at or
-    below the floor (nothing was absorbed)."""
+def _post_select(xi1: complex, xi2: complex) -> tuple[float, float, float]:
+    """(sqrt(weight), C, theta) of the pair post-selected from the emitter
+    amplitudes, weight = |xi1|^2 + |xi2|^2 and theta = arg(xi2 / xi1) in
+    (-pi, pi]; EmptyProjection when the weight is at or below the floor
+    (nothing was absorbed)."""
     norm = abs(xi1) ** 2 + abs(xi2) ** 2
     if norm <= _PROJECTION_FLOOR:
         raise EmptyProjection(
             f"emitter amplitudes vanish (weight {norm:.3e}); no "
             f"post-selected state exists"
         )
-    return math.sqrt(norm)
-
-
-def _theta(xi1: complex, xi2: complex) -> float:
-    """arg(xi2 / xi1) in (-pi, pi]."""
+    root = math.sqrt(norm)
     z = xi2 * xi1.conjugate()
     theta = math.atan2(z.imag, z.real)
-    return math.pi if theta == -math.pi else theta
+    return (root, 2.0 * abs(xi1 / root) * abs(xi2 / root),
+            math.pi if theta == -math.pi else theta)
 
 
 def _check_gamma_prime(gamma_prime: float) -> None:
@@ -158,22 +155,15 @@ def concurrence_map(
     cells = []
     for kd in kd_values:
         kd = float(kd)
-        params = replace(params_base, kd=kd)
-        e, w = _phase_and_coupling(params)
-        gamma_prime = params.gamma_prime
+        pair = _pair(replace(params_base, kd=kd))
         for delta in delta_values:
             delta = float(delta)
             try:
-                xi1, xi2 = _amplitudes(kd, e, w, delta, gamma_prime)[4:]
-                root = _root_weight(xi1, xi2)
+                _, concurrence, theta = _post_select(
+                    *_amplitudes(pair, delta)[4:])
             except (SingularSystem, EmptyProjection):
-                cells.append(ConcurrenceCell(kd, delta, math.nan, math.nan))
-            else:
-                cells.append(ConcurrenceCell(
-                    kd, delta,
-                    2.0 * abs(xi1 / root) * abs(xi2 / root),
-                    _theta(xi1, xi2),
-                ))
+                concurrence = theta = math.nan
+            cells.append(ConcurrenceCell(kd, delta, concurrence, theta))
     return cells
 
 
@@ -209,8 +199,6 @@ def phase_scan(
             points.append(PhasePoint(delta, kd, limit, 1.0))
             continue
         sol = solve_two_dot(ModelParams(kd, delta, gamma_nr=gamma_prime))
-        xi1, xi2 = sol.xi1, sol.xi2
-        root = _root_weight(xi1, xi2)
-        points.append(PhasePoint(delta, kd, _theta(xi1, xi2),
-                                 2.0 * abs(xi1 / root) * abs(xi2 / root)))
+        _, concurrence, theta = _post_select(sol.xi1, sol.xi2)
+        points.append(PhasePoint(delta, kd, theta, concurrence))
     return points

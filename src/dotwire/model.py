@@ -165,32 +165,46 @@ def solve_two_dot(params: ModelParams) -> ScatteringSolution:
     with e = exp(i*kd), Delta = delta + i*(gamma_prime + GAMMA_PL)/2, and
     w = i*(GAMMA_PL*e + Gamma_SR)/2. Back-substitution fills every amplitude.
 
+    One pair record, _pair(params), feeds the amplitudes and the residual.
     Raises SingularSystem when |det| = |(w-Delta)(w+Delta)| < 1e-14. Only
     this function computes the relation residual: sweep_detuning and
-    concurrence_map call the same solve, _amplitudes, and skip it.
+    concurrence_map call the same kernel, _amplitudes, and skip it.
     """
-    e, s_sr = _phase_and_collective(params)
-    w = 0.5j * GAMMA_PL * e + s_sr  # as _phase_and_coupling forms it
-    t, r, a, b, xi1, xi2 = _amplitudes(params.kd, e, w, params.delta,
-                                       params.gamma_prime)
-    residual = _relation_residual(params, e, s_sr, t, r, a, b, xi1, xi2)
+    pair = _pair(params)
+    t, r, a, b, xi1, xi2 = _amplitudes(pair, params.delta)
+    residual = _relation_residual(pair, t, r, a, b, xi1, xi2)
     return ScatteringSolution(t=t, r=r, a=a, b=b, xi1=xi1, xi2=xi2,
                               residual=residual)
 
 
-def _amplitudes(kd, e, w, delta, gamma_prime):
-    """(t, r, a, b, xi1, xi2) of the 2x2 system at detuning delta, with
-    e, w = _phase_and_coupling at kd. ValueError for a non-finite delta,
-    SingularSystem when |det| < 1e-14."""
+def _pair(params: ModelParams) -> tuple:
+    """The pair record (params, e, s_sr, w, half_width): all the 2x2
+    system takes from params but the detuning, formed once per parameter
+    set. e = exp(i*kd), s_sr = i*Gamma_SR/2 is the collective term,
+    w = i*(GAMMA_PL*e + Gamma_SR)/2, and Delta = delta + half_width with
+    half_width = i*(gamma_prime + GAMMA_PL)/2."""
+    e = cmath.exp(1j * params.kd)
+    s_sr = (0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
+            if params.include_superradiance else 0.0j)
+    return (params, e, s_sr, 0.5j * GAMMA_PL * e + s_sr,
+            0.5j * (params.gamma_prime + GAMMA_PL))
+
+
+def _amplitudes(pair, delta):
+    """(t, r, a, b, xi1, xi2) of the 2x2 system of the pair record
+    _pair(params) at detuning delta, in place of params.delta. ValueError
+    for a non-finite delta, SingularSystem when |det| < 1e-14."""
+    params, e, _, w, half_width = pair
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    big_delta = delta + 0.5j * (gamma_prime + GAMMA_PL)
+    big_delta = delta + half_width
     # the factored form avoids cancellation near the singular set
     det = (w - big_delta) * (w + big_delta)
     if abs(det) < _DET_FLOOR:
         raise SingularSystem(
             f"2x2 amplitude system is singular (|det|={abs(det):.3e}) at "
-            f"kd={kd}, delta={delta}, gamma_prime={gamma_prime}"
+            f"kd={params.kd}, delta={delta}, "
+            f"gamma_prime={params.gamma_prime}"
         )
     g = G_COUPLING
     xi1 = 2 * g * (e * w - big_delta) / det
@@ -204,43 +218,25 @@ def _amplitudes(kd, e, w, delta, gamma_prime):
     return t, r, a, b, xi1, xi2
 
 
-def _reflection_poles(params: ModelParams) -> list[tuple[complex, complex]]:
+def _reflection_poles(pair) -> list[tuple[complex, complex]]:
     """r as a sum of simple poles in the detuning: the (c, z) pairs of
 
         r(delta) = sum of c / (delta - z),
 
-    the closed form of solve_two_dot rewritten as
+    the closed form of solve_two_dot rewritten from the pair record as
     r = g^2 * [(1+e)^2 / (w+Delta) - (1-e)^2 / (w-Delta)] / (i*V_G).
     The two residues sum to GAMMA_PL in modulus. At kd = n*pi one of them
     vanishes, and its pole, on the real axis when lossless, is a removable
     singularity of r that solve_two_dot reports as SingularSystem; a term
     whose residue is below rounding is left out, which cancels that factor.
     """
-    e, w = _phase_and_coupling(params)
-    half_width = 0.5j * (params.gamma_prime + GAMMA_PL)
+    _, e, _, w, half_width = pair
     scale = G_COUPLING**2 / (1j * V_G)
     terms = (
         (scale * (1 + e) ** 2, -w - half_width),
         (scale * (1 - e) ** 2, w - half_width),
     )
     return [(c, z) for c, z in terms if abs(c) > _RESIDUE_FLOOR * GAMMA_PL]
-
-
-def _phase_and_collective(params: ModelParams) -> tuple[complex, complex]:
-    """e = exp(i*kd) and the collective term s_sr = i*Gamma_SR/2."""
-    e = cmath.exp(1j * params.kd)
-    s_sr = (
-        0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
-        if params.include_superradiance
-        else 0.0j
-    )
-    return e, s_sr
-
-
-def _phase_and_coupling(params: ModelParams) -> tuple[complex, complex]:
-    """e = exp(i*kd) and w = i*(GAMMA_PL*e + Gamma_SR)/2."""
-    e, s_sr = _phase_and_collective(params)
-    return e, 0.5j * GAMMA_PL * e + s_sr
 
 
 def relation_residual(
@@ -262,13 +258,13 @@ def relation_residual(
     the relations is returned; it is NaN when any relation term is NaN or
     infinite, never a clean figure.
     """
-    return _relation_residual(params, *_phase_and_collective(params),
-                              t, r, a, b, xi1, xi2)
+    return _relation_residual(_pair(params), t, r, a, b, xi1, xi2)
 
 
-def _relation_residual(params, e, s_sr, t, r, a, b, xi1, xi2):
-    """relation_residual with e, s_sr = _phase_and_collective(params) given,
-    so that solve_two_dot forms them once."""
+def _relation_residual(pair, t, r, a, b, xi1, xi2):
+    """relation_residual from the pair record _pair(params), so that
+    solve_two_dot forms it once for the amplitudes and the residual."""
+    params, e, s_sr, _, _ = pair
     g = G_COUPLING
     gp = params.gamma_prime
     d_loss = params.delta + 0.5j * gp

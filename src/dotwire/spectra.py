@@ -37,7 +37,7 @@ from .errors import (
 from .model import (
     ModelParams,
     _amplitudes,
-    _phase_and_coupling,
+    _pair,
     _reflection_poles,
     solve_two_dot,
 )
@@ -78,12 +78,11 @@ def sweep_detuning(delta_values, params: ModelParams) -> list[SpectrumRow]:
     relation residual. SingularSystem propagates with the offending
     detuning in its message; a non-finite detuning raises ValueError.
     """
-    e, w = _phase_and_coupling(params)
-    kd, gamma_prime = params.kd, params.gamma_prime
+    pair = _pair(params)
     rows = []
     for delta in delta_values:
         delta = float(delta)
-        t, r = _amplitudes(kd, e, w, delta, gamma_prime)[:2]
+        t, r = _amplitudes(pair, delta)[:2]
         T, R = abs(t) ** 2, abs(r) ** 2
         rows.append(SpectrumRow(delta, T, R, 1.0 - T - R))
     return rows
@@ -227,7 +226,8 @@ def reflection_peak(
     iteration reaches its cap.
     """
     lo, hi = _bracket(bracket)
-    poles = _reflection_poles(params)
+    pair = _pair(params)
+    poles = _reflection_poles(pair)
     # num/den + c/(delta - z); num keeps a zero leading coefficient, so
     # the two stay of equal length and no derivative below is empty
     num, den = [0j], [1 + 0j]
@@ -244,15 +244,12 @@ def reflection_peak(
     )]
     roots = _poly_roots(slope)
 
-    e, w = _phase_and_coupling(params)
-
     def reflection(delta: float) -> float:
         # at a removable singularity of r, where the kernel raises
         # SingularSystem, R comes from the partial fractions, which have
         # that factor cancelled
         try:
-            return abs(_amplitudes(params.kd, e, w, delta,
-                                   params.gamma_prime)[1]) ** 2
+            return abs(_amplitudes(pair, delta)[1]) ** 2
         except SingularSystem:
             return abs(sum(c / (delta - z) for c, z in poles)) ** 2
 

@@ -130,6 +130,38 @@ class TestUsageErrors:
         assert f"{name} must be finite" in err
 
 
+_NUMBER_OPTIONS = [(command, option) for command, options in OPTIONS.items()
+                   for option in options if option.kind in ("float", "floats")]
+
+# peaks checks its two bracket ends together, and its message names the pair
+_NAMED_AS = {"bracket_lo": "bracket", "bracket_hi": "bracket"}
+
+
+@pytest.mark.parametrize(
+    "command, option", _NUMBER_OPTIONS,
+    ids=[f"{command}-{option.key}" for command, option in _NUMBER_OPTIONS])
+class TestNegativeNumberValues:
+    """A value of a minus and a number in any form float() reads is the
+    option's value, as it is after an equals sign, not a second option."""
+
+    def test_scientific_notation_is_a_value(self, capsys, command, option):
+        flag = "--" + option.key.replace("_", "-")
+        apart = run_main(capsys, command, flag, "-1e-3")
+        joined = run_main(capsys, command, f"{flag}=-1e-3")
+        assert apart == joined
+        args = cli._build_parser().parse_args([command, flag, "-1e-3"])
+        assert cli._resolve(command, args, {})[option.key] in (-1e-3,
+                                                               [-1e-3])
+
+    def test_minus_infinity_is_refused_by_name(self, capsys, command, option):
+        flag = "--" + option.key.replace("_", "-")
+        code, out, err = run_main(capsys, command, flag, "-inf")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "expected one argument" not in err
+        assert _NAMED_AS.get(option.key, option.key) in err
+
+
 class TestGridInput:
     @pytest.mark.parametrize("argv", [
         ("concurrence-map", "--n-kd"),

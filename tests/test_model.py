@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from dotwire import entanglement, model
+from dotwire import entanglement, model, spectra
 from dotwire.cli import _linspace
 from dotwire.config import OPTIONS
 from dotwire.entanglement import concurrence_map, phase_scan, project_state
@@ -18,6 +18,7 @@ from dotwire.lattice import gamma_pm
 from dotwire.model import (
     GAMMA_PL,
     ModelParams,
+    _pair,
     _reflection_poles,
     relation_residual,
     solve_single_dot,
@@ -235,7 +236,7 @@ class TestReflectionPoles:
         for kd in (math.pi / 4, 2.0, math.pi + 1e-3):
             params = ModelParams(kd=kd, gamma0=0.025, gamma_nr=0.025,
                                  include_superradiance=with_sr)
-            poles = _reflection_poles(params)
+            poles = _reflection_poles(_pair(params))
             assert len(poles) == 2
             for delta in np.linspace(-2.0, 2.0, 41):
                 r = sum(c / (delta - z) for c, z in poles)
@@ -248,7 +249,7 @@ class TestReflectionPoles:
         params = ModelParams(kd=2 * math.pi)
         with pytest.raises(SingularSystem):
             solve_two_dot(params)
-        (c, z), = _reflection_poles(params)
+        (c, z), = _reflection_poles(_pair(params))
         assert abs(c / (0.0 - z)) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
@@ -283,32 +284,46 @@ def test_amplitudes_continuous_near_singularity():
 def test_grid_functions_skip_the_relation_residual(monkeypatch):
     # the residual is the public solve's check; the detuning sweep, the
     # concurrence map and the peak search solve every point through the
-    # same kernel without it
-    calls = []
-    real = model._relation_residual
+    # same kernel without it, and form the pair record once per parameter
+    # set: per kd row of the map, per sweep and per peak search
+    calls, pairs = [], []
+    real, real_pair = model._relation_residual, model._pair
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def counted_pair(params):
+        pairs.append(params)
+        return real_pair(params)
+
     monkeypatch.setattr(model, "_relation_residual", counted)
+    for module in (model, spectra, entanglement):
+        monkeypatch.setattr(module, "_pair", counted_pair)
     solve_two_dot(ModelParams(kd=1.0))
-    assert len(calls) == 1  # the counter sees the public solve
+    assert len(calls) == len(pairs) == 1  # the counters see the public solve
     lossy = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
-    concurrence_map(_linspace(0.6 * math.pi, 2.4 * math.pi, 20),
-                    _linspace(-2.0, 2.0, 20), lossy)
+    kd_rows = _linspace(0.6 * math.pi, 2.4 * math.pi, 20)
+    del pairs[:]
+    concurrence_map(kd_rows, _linspace(-2.0, 2.0, 20), lossy)
+    assert [params.kd for params in pairs] == kd_rows
+    del pairs[:]
     sweep_detuning(_linspace(-3.0, 3.0, 201), lossy)
+    assert pairs == [lossy]
+    del pairs[:]
     without, with_sr = peak_position_curve(
         _linspace(0.55 * math.pi, 1.45 * math.pi, 10), lossy)
     assert len(without) == len(with_sr) == 10
+    assert len(pairs) == 20  # one per peak search, with and without SR
     assert len(calls) == 1
 
 
 def test_solve_forms_the_phase_once(monkeypatch):
-    # the amplitudes and the residual share one e = exp(i*kd) and s_sr, and
-    # the residual reads as the public relation_residual, bit for bit
+    # the amplitudes and the residual share one pair record, so one
+    # e = exp(i*kd) and s_sr, and the residual reads as the public
+    # relation_residual, bit for bit
     calls = []
-    real = model._phase_and_collective
+    real = model._pair
 
     def counted(params):
         calls.append(params)
@@ -318,7 +333,7 @@ def test_solve_forms_the_phase_once(monkeypatch):
                          include_superradiance=sr)
              for kd in (0.3, 1.0, 2.5) for delta in (-1.7, 0.0, 0.4)
              for sr in (False, True)]
-    monkeypatch.setattr(model, "_phase_and_collective", counted)
+    monkeypatch.setattr(model, "_pair", counted)
     solutions = [solve_two_dot(params) for params in cases]
     assert len(calls) == len(cases)
     monkeypatch.undo()
@@ -411,7 +426,7 @@ def _list_residual(params, t, r, a, b, xi1, xi2):
     and max, kept as the reference for the single-loop form."""
     g = model.G_COUPLING
     gp = params.gamma_prime
-    e, s_sr = model._phase_and_collective(params)
+    _, e, s_sr, _, _ = model._pair(params)
     d_loss = params.delta + 0.5j * gp
     g_over_iv = g / (1j * model.V_G)
     pairs = (
@@ -442,9 +457,8 @@ def test_relation_residual_matches_the_list_form():
             include_superradiance=rng.random() < 0.3 and gp > 0,
             k0d=rng.choice((None, rng.uniform(0.1, 7.0))))
         try:
-            amplitudes = list(model._amplitudes(
-                params.kd, *model._phase_and_coupling(params),
-                params.delta, params.gamma_prime))
+            amplitudes = list(model._amplitudes(model._pair(params),
+                                                params.delta))
         except SingularSystem:
             continue
         for k in range(6):

@@ -14,10 +14,11 @@ import dotwire
 _NOT_EXPORTED = {"LatticeSystem", "build_hamiltonian", "evolve"}
 
 # private names one module may import from a sibling: the closed-form
-# kernel that spectra and entanglement share with model's solve
+# kernel and its pair record, which spectra and entanglement share with
+# model's solve
 _SHARED_PRIVATE = {
     "model._amplitudes",
-    "model._phase_and_coupling",
+    "model._pair",
     "model._reflection_poles",
 }
 

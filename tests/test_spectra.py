@@ -18,7 +18,7 @@ from dotwire.errors import (
     NotConverged,
     SingularSystem,
 )
-from dotwire.model import ModelParams, _reflection_poles, solve_two_dot
+from dotwire.model import ModelParams, _pair, _reflection_poles, solve_two_dot
 from dotwire.spectra import (
     _poly_roots,
     peak_position_curve,
@@ -49,7 +49,7 @@ def _numpy_peak_position(params: ModelParams, bracket) -> float:
     replaced: np.roots on the slope polynomial, three Newton steps, and R
     of each candidate from solve_two_dot."""
     lo, hi = bracket
-    poles = _reflection_poles(params)
+    poles = _reflection_poles(_pair(params))
     num, den = np.zeros(1, complex), np.ones(1, complex)
     for c, z in poles:
         factor = [1.0, -z]
