@@ -141,12 +141,21 @@ def _add_option(parser: _Parser, option: Option) -> None:
 
 def _resolve(command: str, args: argparse.Namespace,
              config: dict[str, dict[str, object]]) -> dict[str, object]:
-    effective = {option.key: option.default for option in OPTIONS[command]}
-    effective.update(config.get(command, {}))
-    for key in effective:
+    """Each option's value: its default, overridden by the INI section,
+    overridden by its flag. ConfigError, naming the key, for a non-finite
+    value of a number option."""
+    given = config.get(command, {})
+    effective = {}
+    for option in OPTIONS[command]:
+        key = option.key
         value = getattr(args, key)
-        if value is not None:
-            effective[key] = value
+        if value is None:
+            value = given.get(key, option.default)
+        if option.kind in ("float", "floats"):
+            for item in value if option.kind == "floats" else (value,):
+                if not math.isfinite(item):
+                    raise ConfigError(f"{key} must be finite, got {item}")
+        effective[key] = value
     return effective
 
 
@@ -174,11 +183,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 def _grid(p: dict, lo: str, hi: str, n: str, minimum: int = 1) -> list[float]:
     """The uniform grid from option lo to option hi with option n points;
-    ValueError, naming the option, for a non-finite end or too few
-    points."""
-    for key in (lo, hi):
-        if not math.isfinite(p[key]):
-            raise ValueError(f"{key} must be finite, got {p[key]}")
+    ValueError, naming the option, for too few points."""
     if p[n] < minimum:
         raise ValueError(f"{n} must be >= {minimum}, got {p[n]}")
     return _linspace(p[lo], p[hi], p[n])
@@ -286,8 +291,8 @@ def _cmd_oracle_verify(p: dict) -> CommandResult:
 
     packet = lattice.WavepacketSpec(sigma_k=p["sigma_k"])
     tolerance = p["tolerance"]
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
 
     def check(point: tuple[float, float, float, bool]) -> dict:
         kd, delta, gp, with_sr = point

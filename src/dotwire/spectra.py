@@ -53,7 +53,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_POLE_EXCLUSION = 1e-3  # kd closer than this to an odd pi/2 is skipped
 _ABERTH_STEPS = 100  # sweeps before the root iteration gives up
 _ABERTH_TURN = 0.4  # start angle off the real axis, radians
 
@@ -90,10 +89,10 @@ def sweep_detuning(delta_values, params: ModelParams) -> list[SpectrumRow]:
 
 def _bracket(bracket: tuple[float, float]) -> tuple[float, float]:
     lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got {bracket}")
     if not lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-    if math.isinf(lo) or math.isinf(hi):
-        raise ValueError(f"bracket ends must be finite, got {bracket}")
     return lo, hi
 
 
@@ -276,11 +275,10 @@ def peak_position_curve(
 ) -> tuple[list[PeakRecord], list[PeakRecord]]:
     """Reflection-peak position vs kd, with and without the collective term.
 
-    kd values within 1e-3 of an odd multiple of pi/2 are excluded (tangent
-    poles push the peak out of any fixed bracket), and kd points where the
-    bracket holds no interior maximum are skipped with a warning — never
+    Every kd is solved; the one skip is a kd where the bracket holds no
+    interior maximum (NoPeakInBracket), logged as a warning and never
     interpolated. If params_base.k0d is None, k0d tracks kd. An empty
-    bracket, or one with an infinite end, raises ValueError before any kd
+    bracket, or one with a non-finite end, raises ValueError before any kd
     is tried, and a non-finite kd when it is reached.
 
     Returns (records without collective term, records with it).
@@ -290,12 +288,6 @@ def peak_position_curve(
     with_sr: list[PeakRecord] = []
     for kd in kd_values:
         kd = float(kd)
-        if not math.isfinite(kd):
-            raise ValueError(f"kd must be finite, got {kd}")
-        folded = abs(math.remainder(kd, math.pi))
-        if abs(folded - math.pi / 2) < _POLE_EXCLUSION:
-            log.warning("skipping kd=%.6f: tangent pole", kd)
-            continue
         for flag, out in ((False, without), (True, with_sr)):
             p = replace(params_base, kd=kd, delta=0.0,
                         include_superradiance=flag)

@@ -78,25 +78,36 @@ class TestUsageErrors:
         assert "pulse_ratio" in err
 
     def test_inverted_bracket_with_every_kd_skipped(self, capsys):
-        # kd = pi/2 is a tangent pole, so no peak search ever runs
+        # at kd = pi/4 the bracket (1, 3) holds no peak, so the search
+        # would skip every kd; the inverted bracket is refused all the same
         code, out, err = run_main(
-            capsys, "peaks", "--kd-min", "1.5708", "--kd-max", "1.5708",
-            "--n-kd", "1", "--bracket-lo", "3", "--bracket-hi", "-3",
+            capsys, "peaks", "--kd-min", "0.7853981633974483",
+            "--kd-max", "0.7853981633974483", "--n-kd", "1",
+            "--bracket-lo", "3", "--bracket-hi", "1",
         )
         assert (code, out) == (1, "")
-        assert "invalid bracket (3.0, -3.0)" in err
+        assert "invalid bracket (3.0, 1.0)" in err
 
-    @pytest.mark.parametrize("flag, bracket", [
-        ("--bracket-lo=-inf", (-math.inf, 3.0)),
-        ("--bracket-hi=inf", (-3.0, math.inf)),
-    ], ids=["lo", "hi"])
-    def test_infinite_bracket_end(self, capsys, tmp_path, flag, bracket):
-        # refused before any kd is tried, so nothing is written
+    @pytest.mark.parametrize("flag", ["--bracket-lo=-inf", "--bracket-hi=-inf"],
+                             ids=["lo", "hi"])
+    def test_infinite_bracket_end(self, capsys, tmp_path, flag):
+        # refused by its key before the command runs, so nothing is written
         out = tmp_path / "run"
         code, printed, err = run_main(capsys, "--out", str(out), "peaks",
                                       flag)
         assert (code, printed) == (1, "")
-        assert err == f"error: bracket ends must be finite, got {bracket}\n"
+        key = flag[2:].split("=")[0].replace("-", "_")
+        assert err == f"error: {key} must be finite, got -inf\n"
+        assert not out.exists()
+
+    def test_non_finite_config_value(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[peaks]\nbracket_lo = -inf\n")
+        out = tmp_path / "run"
+        code, printed, err = run_main(capsys, "--config", str(config),
+                                      "--out", str(out), "peaks")
+        assert (code, printed) == (1, "")
+        assert err == "error: bracket_lo must be finite, got -inf\n"
         assert not out.exists()
 
     def test_storage_run_outlasting_the_mode_recurrence(self, capsys):
@@ -133,9 +144,6 @@ class TestUsageErrors:
 _NUMBER_OPTIONS = [(command, option) for command, options in OPTIONS.items()
                    for option in options if option.kind in ("float", "floats")]
 
-# peaks checks its two bracket ends together, and its message names the pair
-_NAMED_AS = {"bracket_lo": "bracket", "bracket_hi": "bracket"}
-
 
 @pytest.mark.parametrize(
     "command, option", _NUMBER_OPTIONS,
@@ -159,7 +167,7 @@ class TestNegativeNumberValues:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "expected one argument" not in err
-        assert _NAMED_AS.get(option.key, option.key) in err
+        assert err == f"error: {option.key} must be finite, got -inf\n"
 
 
 class TestGridInput:
@@ -643,31 +651,33 @@ class TestOutDirAndManifest:
         assert entry["size_bytes"] == len(payload)
         assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
 
+    # at kd = pi/4 the bracket (1, 3) holds no reflection peak, so both
+    # curves skip it with a warning; at kd = 2.0 both have one at ~2.19
+    SKIPPING = ["--kd-min", "0.7853981633974483", "--kd-max", "2.0",
+                "--n-kd", "2", "--bracket-lo", "1", "--bracket-hi", "3"]
+    SKIP_WARNINGS = [
+        f"dotwire.spectra: skipping kd=0.785398 (with_sr={flag}): no peak "
+        f"in (1.0, 3.0)" for flag in (False, True)
+    ]
+
     def test_manifest_lists_the_run_warnings(self, capsys, tmp_path):
-        # kd = 1.5708 lies on the tangent pole and is skipped with a warning
         out = tmp_path / "run"
         code, _, err = run_main(capsys, "--out", str(out), "peaks",
-                                "--kd-min", "1.5708", "--kd-max", "2.0",
-                                "--n-kd", "2")
+                                *self.SKIPPING)
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["warnings"] == [
-            "dotwire.spectra: skipping kd=1.570800: tangent pole"
-        ]
-        assert err == ("warning: dotwire.spectra: skipping kd=1.570800: "
-                       "tangent pole\n")
+        assert manifest["warnings"] == self.SKIP_WARNINGS
+        assert err == "".join(f"warning: {w}\n" for w in self.SKIP_WARNINGS)
 
     def test_warnings_print_to_stderr_beside_a_stdout_table(self, capsys):
-        code, out, err = run_main(capsys, "peaks", "--kd-min", "1.5708",
-                                  "--kd-max", "2.0", "--n-kd", "2")
+        code, out, err = run_main(capsys, "peaks", *self.SKIPPING)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "kd,delta_peak,R_peak,with_sr"
         assert [line.split(",")[0] for line in lines[1:]] == [
             f"{2.0:.17e}", f"{2.0:.17e}"
         ]
-        assert err == ("warning: dotwire.spectra: skipping kd=1.570800: "
-                       "tangent pole\n")
+        assert err == "".join(f"warning: {w}\n" for w in self.SKIP_WARNINGS)
 
     def test_no_peak_in_the_bracket_is_a_warning(self, capsys, tmp_path):
         # at kd = pi/4 the reflection peaks lie outside (1, 3): both curves
@@ -681,12 +691,7 @@ class TestOutDirAndManifest:
         table = (out / "peaks.csv").read_text()
         assert table == "kd,delta_peak,R_peak,with_sr\n"
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["warnings"] == [
-            "dotwire.spectra: skipping kd=0.785398 (with_sr=False): no peak "
-            "in (1.0, 3.0)",
-            "dotwire.spectra: skipping kd=0.785398 (with_sr=True): no peak "
-            "in (1.0, 3.0)",
-        ]
+        assert manifest["warnings"] == self.SKIP_WARNINGS
 
     def test_every_file_listed_with_checksum(self, capsys, tmp_path):
         out = tmp_path / "run"

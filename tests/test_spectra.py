@@ -238,10 +238,8 @@ class TestReflectionPeak:
         # the machine-precision plateau, but the value is 1 to rounding,
         # on either side of it
         rng = random.Random(27)
-        for kd in [PI / 4, PI / 3, 1.2 * PI,
+        for kd in [PI / 4, PI / 3, PI / 2, 1.2 * PI, 3 * PI / 2,
                    *(rng.uniform(0.05, 4 * PI) for _ in range(200))]:
-            if abs(abs(math.remainder(kd, PI)) - PI / 2) < 1e-3:
-                continue  # a tangent pole, as peak_position_curve skips
             rec = reflection_peak(ModelParams(kd=kd))
             assert abs(rec.delta_peak) < 5e-4, kd
             assert abs(rec.R_peak - 1.0) <= 8 * 2.0**-52, kd
@@ -284,7 +282,8 @@ class TestReflectionPeak:
             reflection_peak(lossy_params(PI / 4), bracket=(2.0, -2.0))
 
     @pytest.mark.parametrize("bracket", [(-math.inf, 3.0), (-3.0, math.inf),
-                                         (-math.inf, math.inf)])
+                                         (-math.inf, math.inf),
+                                         (-3.0, -math.inf), (math.nan, 3.0)])
     def test_rejects_an_infinite_bracket_end(self, bracket):
         message = re.escape(f"bracket ends must be finite, got {bracket}")
         with pytest.raises(ValueError, match=message):
@@ -295,12 +294,13 @@ class TestReflectionPeak:
 
 
 class TestPeakPositionCurve:
-    def test_skips_tangent_poles_and_separates_branches(self):
+    def test_solves_through_pi_half_and_separates_branches(self, caplog):
         kd_values = np.linspace(0.3 * PI, 0.7 * PI, 9)  # includes pi/2
         base = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
         without, with_sr = peak_position_curve(kd_values, base)
-        assert 0 < len(without) <= 8 and 0 < len(with_sr) <= 8
-        assert all(abs(r.kd - PI / 2) > 1e-3 for r in without + with_sr)
+        assert [r.kd for r in without] == [r.kd for r in with_sr] == [
+            float(kd) for kd in kd_values]
+        assert caplog.records == []
         assert all(not r.with_sr for r in without)
         assert all(r.with_sr for r in with_sr)
         # the collective term visibly shifts at least one peak
@@ -343,13 +343,33 @@ class TestPeakPositionCurve:
                 params.at_delta(rec.delta_peak)).R
 
     def test_rejects_bad_bracket_when_every_kd_is_skipped(self):
+        # (1, 3) holds no peak at kd = pi/4, so every kd would be skipped
         base = ModelParams(kd=1.0, gamma0=0.025, gamma_nr=0.025)
-        with pytest.raises(ValueError, match=r"invalid bracket \(3.0, -3.0\)"):
-            peak_position_curve([PI / 2], base, bracket=(3.0, -3.0))
+        with pytest.raises(ValueError, match=r"invalid bracket \(3.0, 1.0\)"):
+            peak_position_curve([PI / 4], base, bracket=(3.0, 1.0))
+
+    @pytest.mark.parametrize("gamma_prime", [0.05, 0.0],
+                             ids=["lossy", "lossless"])
+    def test_solves_every_kd_across_the_tangent_poles(self, gamma_prime):
+        # tan(kd) diverges at odd multiples of pi/2, but R(delta) keeps an
+        # interior maximum there: no dense-grid R above the returned one
+        kd_values = [(n + 0.5) * PI + offset for n in (0, 1)
+                     for offset in np.linspace(-0.01, 0.01, 11)]
+        base = ModelParams(kd=1.0, gamma0=gamma_prime / 2,
+                           gamma_nr=gamma_prime / 2)
+        grid = np.linspace(-3.0, 3.0, 3001)
+        for records in peak_position_curve(kd_values, base):
+            assert [r.kd for r in records] == [float(kd) for kd in kd_values]
+            for rec in records:
+                params = ModelParams(kd=rec.kd, gamma0=base.gamma0,
+                                     gamma_nr=base.gamma_nr,
+                                     include_superradiance=rec.with_sr)
+                dense = max(row.R for row in sweep_detuning(grid, params))
+                assert dense <= rec.R_peak, rec
 
     @pytest.mark.parametrize("kd", [math.inf, -math.inf, math.nan])
     def test_non_finite_kd_rejected(self, kd):
-        # the tangent-pole fold would fail first with no parameter named
+        # ModelParams refuses it, by name, when the kd is reached
         with pytest.raises(ValueError, match=f"kd must be finite, got {kd}"):
             peak_position_curve([kd], ModelParams(kd=1.0))
 
