@@ -24,6 +24,11 @@ with e^{-i kd}; its emission coefficients are the conjugates. The retarded
 inter-emitter exchange appears as the explicit Hermitian term
 J = sin(kd)/2 plus a principal-value counterterm evaluated on the grid,
 which also corrects the finite window (so the window can stay narrow).
+H is never stored as a matrix: the series holds each mode amplitude
+divided by its coupling strength, so every mode of a branch receives the
+same emission and an application of H costs one multiply by the mode
+energies, one number added to each branch and one product of the modes
+with their squared couplings (_chebyshev).
 
 The module also carries the collective-decay equivalence check: evolving the
 site-basis master equation of two emitters and comparing its no-jump part
@@ -127,14 +132,19 @@ class WavepacketSpec:
 class LatticeSystem:
     """Assembled lattice Hamiltonian in matrix-free form.
 
-    eps are mode energies in the integration frame, coupling is the (2n, 2)
-    emission-coefficient block [right branch; left branch] x [emitter 1,
-    emitter 2], dot_block is the 2x2 emitter sub-Hamiltonian.
+    eps are mode energies in the integration frame, the same on both
+    branches, and dot_block is the 2x2 emitter sub-Hamiltonian. Mode k
+    couples to the emitters with its strength kap_k =
+    grid.coupling_strengths()[k]: emitter 1 absorbs it with kap_k on both
+    branches, emitter 2 with kap_k * phase on the right branch and
+    kap_k * conj(phase) on the left, phase = e^{i kd}; the emission
+    coefficients are the conjugates. evolve applies H through the scaled
+    mode amplitudes psi_k / kap_k (see _chebyshev).
     """
 
     grid: ModeGrid
     eps: np.ndarray
-    coupling: np.ndarray
+    phase: complex
     dot_block: np.ndarray
 
     @property
@@ -147,27 +157,26 @@ class LatticeSystem:
         H_h = (H + H^H) / 2, and so the real part of every eigenvalue of H;
         computed once per system.
 
-        H_h = [[E, C], [C^H, D_h]] with E = diag(eps, eps), C = coupling and
-        D_h the Hermitian part of dot_block. _secular_edge brackets each
-        edge by bisection on the positive-definiteness test of a 2x2 Schur
-        complement, between the extreme entry of the diagonal
-        [eps, Re diag D_h], which lies inside the spectrum (a diagonal
-        entry is a Rayleigh quotient), and Weyl's bound, which lies
-        outside it. The lower edge is the upper edge of -H_h. Each edge
+        H_h = [[E, C], [C^H, D_h]] with E = diag(eps, eps), C the (2n, 2)
+        emission block and D_h the Hermitian part of dot_block.
+        _secular_edge brackets each edge by bisection on the
+        positive-definiteness test of a 2x2 Schur complement, between the
+        extreme entry of the diagonal [eps, Re diag D_h], which lies inside
+        the spectrum (a diagonal entry is a Rayleigh quotient), and Weyl's
+        bound, which lies outside it. The lower edge is the upper edge of -H_h. Each edge
         lies outside the spectrum by at most 2 * _EDGE_PAD of the larger
         start in magnitude, which is at most the spectral radius of H_h.
         NotConverged unless H is finite.
         """
-        n = self.grid.n_modes
-        right, left = self.coupling[:n], self.coupling[n:]
+        kap = self.grid.coupling_strengths()
         # C^H (lam - E)^{-1} C = sum_k M_k / (lam - eps_k), with M_k the 2x2
         # [[m11, m12], [conj(m12), m22]] of mode k on both branches, held as
-        # the columns (m11, m22, m12)
-        weights = np.stack([
-            np.abs(right[:, 0]) ** 2 + np.abs(left[:, 0]) ** 2,
-            np.abs(right[:, 1]) ** 2 + np.abs(left[:, 1]) ** 2,
-            right[:, 0].conj() * right[:, 1] + left[:, 0].conj() * left[:, 1],
-        ], axis=1)
+        # the columns (m11, m22, m12): m11 = m22 = 2 kap^2 and, the two
+        # branches' phases cancelling, m12 = 2 kap^2 cos(kd)
+        m_diag = 2.0 * kap**2
+        weights = np.stack(
+            [m_diag, m_diag, 2.0 * kap * (kap * self.phase.real)], axis=1
+        )
         d_h = 0.5 * (self.dot_block + self.dot_block.conj().T)
         diag = np.concatenate([self.eps, np.diag(d_h).real])
         start_lo, start_hi = float(np.min(diag)), float(np.max(diag))
@@ -178,11 +187,16 @@ class LatticeSystem:
 
     def to_dense(self) -> np.ndarray:
         """Materialize H (for structure and propagator tests)."""
-        n2 = 2 * self.grid.n_modes
+        n, n2 = self.grid.n_modes, 2 * self.grid.n_modes
+        kap = self.grid.coupling_strengths()
+        emission = np.empty((n2, 2), dtype=complex)
+        emission[:n, 0] = emission[n:, 0] = kap
+        emission[:n, 1] = kap * self.phase.conjugate()
+        emission[n:, 1] = kap * self.phase
         h = np.zeros((n2 + 2, n2 + 2), dtype=complex)
         h[np.arange(n2), np.arange(n2)] = np.concatenate([self.eps, self.eps])
-        h[:n2, n2:] = self.coupling
-        h[n2:, :n2] = self.coupling.conj().T
+        h[:n2, n2:] = emission
+        h[n2:, :n2] = emission.conj().T
         h[n2:, n2:] = self.dot_block
         return h
 
@@ -249,7 +263,16 @@ def uniform_mode_grid(half_width: float, dk: float) -> ModeGrid:
 
 
 def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:
-    """Assemble the two-branch, two-emitter lattice at params.delta carrier."""
+    """Assemble the two-branch, two-emitter lattice at params.delta carrier.
+    ValueError unless every grid weight is finite and > 0: evolve holds
+    each mode divided by its coupling strength."""
+    valid = np.isfinite(grid.weights) & (grid.weights > 0)
+    if not np.all(valid):
+        k = int(np.argmin(valid))
+        raise ValueError(
+            f"weights must be finite and > 0, got {grid.weights[k]} at "
+            f"mode {k}"
+        )
     kap = grid.coupling_strengths()
     delta = params.delta
     phase = complex(math.cos(params.kd), math.sin(params.kd))
@@ -266,20 +289,10 @@ def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:
     if params.include_superradiance:
         h12 += -0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
 
-    coupling = np.empty((2 * grid.n_modes, 2), dtype=complex)
-    # emitter 2 absorbs from the right branch with e^{+i kd} and from the
-    # left branch with e^{-i kd}; these are the emission coefficients, i.e.
-    # the conjugates of the absorption phases
-    coupling[: grid.n_modes, 0] = kap
-    coupling[grid.n_modes :, 0] = kap
-    coupling[: grid.n_modes, 1] = kap * phase.conjugate()
-    coupling[grid.n_modes :, 1] = kap * phase
-
-    eps = grid.nu - delta
     return LatticeSystem(
         grid=grid,
-        eps=eps,
-        coupling=coupling,
+        eps=grid.nu - delta,
+        phase=phase,
         dot_block=np.array([[e_dot, h12], [h12, e_dot]], dtype=complex),
     )
 
@@ -348,46 +361,77 @@ def _chebyshev(
     system: LatticeSystem, psi: np.ndarray, t: float
 ) -> tuple[np.ndarray, int]:
     """exp(-i*H*t) psi by one Chebyshev series, and the number of
-    applications of H it took (see evolve)."""
-    n2 = 2 * system.grid.n_modes
+    applications of H it took (see evolve).
+
+    The series runs on the scaled state u = S^{-1} psi, S = diag(kap, kap,
+    1, 1) with kap the modes' coupling strengths: it applies
+    H' = S^{-1} H S, which has H's spectrum and so takes the same
+    coefficients. In u every mode of a branch receives the same emission,
+    one number per branch, and absorption weighs the modes by kap^2, so
+    applying H' is one multiply by the mode energies, two scalar adds on
+    the branch halves and one (2, n) product, with the 2x2 emitter block
+    on Python scalars. The sum is multiplied back by S once, at the end.
+    """
+    n = system.grid.n_modes
+    n2 = 2 * n
     lo, hi = system.spectral_interval
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = _bessel_series(half * t)
     coeffs[1:] *= 2.0
 
-    # 2 * (H - center) / half, so the recurrence needs no further scaling;
-    # complex diag and a column-major coupling make the products cheapest
+    # 2 * (H' - center) / half, so the recurrence needs no further scaling;
+    # complex diag and absorption weights keep each product one BLAS call
+    # on flat operands
     scale = 2.0 / half
+    kap = system.grid.coupling_strengths()
     diag = scale * (np.concatenate([system.eps, system.eps]) - center + 0j)
-    down = np.asfortranarray(scale * system.coupling)
-    up = np.ascontiguousarray(down.conj().T)
-    dots = scale * (system.dot_block - center * np.eye(2))
+    absorb = scale * kap**2 + 0j
+    phase = system.phase
+    back = phase.conjugate()
+    (d11, d12), (d21, d22) = (
+        scale * (system.dot_block - center * np.eye(2))
+    ).tolist()
 
-    def apply(v: np.ndarray, out: np.ndarray) -> None:
-        modes, amps = v[:n2], v[n2:]
-        np.multiply(diag, modes, out=out[:n2])
-        out[:n2] += down.dot(amps)
-        out[n2:] = up.dot(modes) + dots.dot(amps)
-
+    # T_0 u = u, T_1 u = (H' - center) u / half and
+    # T_{k+1} u = 2 (H' - center) / half T_k u - T_{k-1} u. The T_k u cycle
+    # through the rows of ring (row k % _RING), and each full ring is added
+    # to the sum in one matrix-vector product.
     psi = np.asarray(psi, dtype=complex)
     norm0 = float(np.sum(np.abs(psi) ** 2))
-    # T_0 psi = psi, T_1 psi = (H - center) psi / half and
-    # T_{k+1} psi = apply(T_k psi) - T_{k-1} psi. The T_k psi cycle through
-    # the rows of ring (row k % _RING), and each full ring is added to the
-    # sum in one matrix-vector product.
     ring = np.empty((_RING, psi.size), dtype=complex)
+    vectors = list(ring)
+    # per row: its modes, its right and left branches, the branches as a
+    # (2, n) array, and its emitters
+    rows = [(v[:n2], v[:n], v[n:n2], v[:n2].reshape(2, n), v[n2:])
+            for v in vectors]
+
+    def apply(src: int, dst: int) -> None:
+        modes, _, _, branches, amps = rows[src]
+        out, right, left, _, out_amps = rows[dst]
+        a1, a2 = amps.tolist()
+        np.multiply(diag, modes, out=out)
+        right += scale * (a1 + back * a2)
+        left += scale * (a1 + phase * a2)
+        s_right, s_left = branches.dot(absorb).tolist()
+        out_amps[0] = s_right + s_left + d11 * a1 + d12 * a2
+        out_amps[1] = phase * s_right + back * s_left + d21 * a1 + d22 * a2
+
     ring[0] = psi
-    apply(psi, ring[1])
+    ring[0, :n] /= kap
+    ring[0, n:n2] /= kap
+    apply(0, 1)
     ring[1] *= 0.5
     acc = np.zeros(psi.size, dtype=complex)
     for k in range(2, coeffs.size):
         row = k % _RING
         if row == 0:
             acc += coeffs[k - _RING : k].dot(ring)
-        apply(ring[row - 1], ring[row])
-        ring[row] -= ring[row - 2]
+        apply(row - 1, row)
+        vectors[row] -= vectors[row - 2]
     first = (coeffs.size - 1) // _RING * _RING
     acc += coeffs[first:].dot(ring[: coeffs.size - first])
+    acc[:n] *= kap
+    acc[n:n2] *= kap
     acc *= complex(math.cos(center * t), -math.sin(center * t))
 
     norm1 = float(np.sum(np.abs(acc) ** 2))
@@ -403,8 +447,10 @@ def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*H*t) psi for the lattice Hamiltonian H, by one Chebyshev
     series (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
-    H is applied matrix-free: the diagonal mode energies eps, the (2n x 2)
-    coupling block and the 2x2 dot_block. The real part of H's numerical
+    H is applied matrix-free, on the modes held divided by their coupling
+    strengths: one multiply by the mode energies, one number added to each
+    branch for the emission, one (2, n) product for the absorption and the
+    2x2 dot_block on scalars (see _chebyshev). The real part of H's numerical
     range, and so of every eigenvalue, is the numerical range of the
     Hermitian part H_h = (H + H^H) / 2, whose extreme eigenvalues
     system.spectral_interval brackets by bisection on a 2x2 Schur test,
@@ -414,7 +460,11 @@ def evolve(system: LatticeSystem, psi: np.ndarray, t: float) -> np.ndarray:
     it, and the norm check below catches it. With a the half-width of that
     interval, the series of Bessel coefficients (-i)^k J_k(a*t) is cut
     where they fall below 1e-14, a little past k = a*t, so a call costs
-    about a*t applications of H and is accurate to rounding for any t.
+    about a*t applications of H. For a Hermitian H it is accurate to
+    rounding for any t. A damped eigenvalue lam lifts the series terms,
+    by about exp(|Im lam| * t / sqrt(1 - x^2)) with x its place on the
+    interval scaled to [-1, 1], and their rounding with them: most where
+    it sits at an edge of the interval.
 
     ValueError unless t is finite and >= 0; t = 0 returns an unchanged
     copy. NotConverged if the norm grows by more than 1e-9 relative, which

@@ -103,6 +103,21 @@ class TestBuildHamiltonian:
         ).to_dense()
         assert np.allclose(dense, dense.conj().T, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.1, 0.0, 0.1], [0.1, 0.1, -0.1], [math.nan, 0.1, 0.1],
+         [0.1, math.inf, 0.1]],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_bad_weight_rejected(self, weights):
+        # evolve holds each mode divided by its coupling strength, so a
+        # zero weight would decouple its mode and turn the state into NaN
+        grid = ModeGrid(nu=np.array([-0.1, 0.0, 0.1]),
+                        weights=np.array(weights))
+        with pytest.raises(ValueError,
+                           match="weights must be finite and > 0, got"):
+            build_hamiltonian(grid, ModelParams(kd=0.8))
+
     def test_loss_only_on_emitter_diagonal(self):
         grid = uniform_mode_grid(3.0, 0.1)
         dense = build_hamiltonian(
@@ -195,11 +210,18 @@ class TestSpectralInterval:
             system.spectral_interval
 
 
+def _seeded_grid():
+    # 120 seeded sorted modes: each has its own coupling strength, so a
+    # wrong per-mode scaling of the series shows (on a uniform grid it
+    # would not)
+    nu = np.sort(np.random.default_rng(34).uniform(-3.0, 3.0, 120))
+    return ModeGrid(nu=nu, weights=np.gradient(nu))
+
+
 class TestEvolve:
-    def system(self):
-        grid = uniform_mode_grid(3.0, 0.1)
+    def system(self, grid=None):
         return build_hamiltonian(
-            grid,
+            uniform_mode_grid(3.0, 0.1) if grid is None else grid,
             ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02,
                         k0d=0.8, include_superradiance=True),
         )
@@ -227,15 +249,15 @@ class TestEvolve:
             evolve(system, psi, t)
 
     def test_lossless_evolution_conserves_norm(self):
-        grid = uniform_mode_grid(3.0, 0.05)
-        system = build_hamiltonian(grid, ModelParams(kd=PI / 2))
-        psi = np.zeros(system.size, dtype=complex)
-        psi[-2] = 1.0
-        out = evolve(system, psi, 10.0)
-        # exp(-iHt) is unitary on a Hermitian generator and the series
-        # reaches it to rounding, so the norm holds to rounding
-        norm = float(np.sum(np.abs(out) ** 2))
-        assert abs(norm - 1.0) <= 1e-12
+        for grid in (uniform_mode_grid(3.0, 0.05), _seeded_grid()):
+            system = build_hamiltonian(grid, ModelParams(kd=PI / 2))
+            psi = np.zeros(system.size, dtype=complex)
+            psi[-2] = 1.0
+            out = evolve(system, psi, 10.0)
+            # exp(-iHt) is unitary on a Hermitian generator and the series
+            # reaches it to rounding, so the norm holds to rounding
+            norm = float(np.sum(np.abs(out) ** 2))
+            assert abs(norm - 1.0) <= 1e-12, grid.n_modes
 
     @pytest.mark.parametrize("t", [2.0, 60.0])
     def test_matches_dense_propagator(self, t):
@@ -246,12 +268,24 @@ class TestEvolve:
         exact = expm(-1j * t * system.to_dense()) @ psi
         assert float(np.max(np.abs(evolve(system, psi, t) - exact))) <= 1e-12
 
+    def test_matches_dense_propagator_on_a_seeded_grid(self):
+        # every mode has its own coupling strength here. Only t = 2: a mode
+        # 1.4e-3 from the carrier makes the principal-value counterterm
+        # push the lossy emitter pair to the top edge of the spectral
+        # interval, where the series terms grow about 2.6e8-fold by t = 60
+        # and the result errs by 3.4e-6 (see evolve)
+        system = self.system(_seeded_grid())
+        psi = self.random_state(system, 3)
+        exact = expm(-2j * system.to_dense()) @ psi
+        assert float(np.max(np.abs(evolve(system, psi, 2.0) - exact))) <= 1e-12
+
     def test_two_calls_compose(self):
-        system = self.system()
-        psi = self.random_state(system, 7)
-        twice = evolve(system, evolve(system, psi, 7.3), 11.1)
-        once = evolve(system, psi, 7.3 + 11.1)
-        assert float(np.max(np.abs(twice - once))) <= 1e-12
+        for system in (self.system(), self.system(_seeded_grid())):
+            psi = self.random_state(system, 7)
+            twice = evolve(system, evolve(system, psi, 7.3), 11.1)
+            once = evolve(system, psi, 7.3 + 11.1)
+            assert float(np.max(np.abs(twice - once))) <= 1e-12, \
+                system.grid.n_modes
 
     def test_norm_growth_raises(self):
         # gain on the emitter diagonal leaves the spectral interval of the
@@ -259,7 +293,7 @@ class TestEvolve:
         grid = uniform_mode_grid(3.0, 0.1)
         honest = build_hamiltonian(grid, ModelParams(kd=PI / 2))
         gaining = LatticeSystem(
-            grid=honest.grid, eps=honest.eps, coupling=honest.coupling,
+            grid=honest.grid, eps=honest.eps, phase=honest.phase,
             dot_block=honest.dot_block + 0.05j * np.eye(2),
         )
         psi = np.zeros(gaining.size, dtype=complex)
