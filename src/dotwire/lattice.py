@@ -253,7 +253,9 @@ def make_mode_grid(center: float) -> ModeGrid:
 
 
 def uniform_mode_grid(half_width: float, dk: float) -> ModeGrid:
-    """Plain uniform grid (decay-rate and line-shape checks). ValueError
+    """Plain uniform grid (decay-rate and line-shape checks, and the
+    storage run, whose closed-form memory kernel relies on
+    nu_k = nu_0 + k*(nu_1 - nu_0), as np.arange builds it). ValueError
     unless half_width and dk are finite and > 0."""
     for name, value in (("half_width", half_width), ("dk", dk)):
         if not (math.isfinite(value) and value > 0):

@@ -39,7 +39,6 @@ from .model import (
     _amplitudes,
     _pair,
     _reflection_poles,
-    solve_two_dot,
 )
 
 __all__ = [
@@ -334,11 +333,11 @@ def reflection_minimum(
             f"gamma_prime={gp} (tan^2={tan * tan:.3e}, gp^2={gp * gp:.3e})"
         )
     try:
-        sol = solve_two_dot(params.at_delta(delta_min))
+        R = abs(_amplitudes(_pair(params), delta_min)[1]) ** 2
     except SingularSystem as exc:
         raise NoMinimumInBracket(
             f"tunneling condition degenerates at kd={params.kd}, "
             f"gamma_prime={gp}: its root {delta_min:.3e} is the removable "
             f"singularity of r, a reflection peak"
         ) from exc
-    return delta_min, sol.R, abs(4.0 * delta_min**2 + gp * gp - tan * tan)
+    return delta_min, R, abs(4.0 * delta_min**2 + gp * gp - tan * tan)

@@ -33,16 +33,12 @@ bit for bit. It steps with a second-order splitting of exact pieces, the
 mode phases and the emitter-control kick (McLachlan & Quispel, Acta
 Numerica 11, 341 (2002)), one step per interval of the control grid.
 The emitters see the modes only through one scalar per step, so the run
-is evaluated through the memory kernel of the bath: the kicks are in
-closed form, and the sums over the modes are chirp-z transforms done with
-numpy FFTs. The memory sum is a causal convolution, done block by block
-as a uniformly partitioned overlap-save convolution: each block of B
-steps costs one 2B-point FFT and, for the b-th block, one 2B-point IFFT
-of a sum of b spectrum products, that is O(2B log 2B + b*2B). Inside a
-block, the steps are linear in the memory they receive, so every
-sub-block of 8 steps is one small linear map, built for the whole block
-at once; walking a block costs two small matrix-vector products per
-sub-block (see _run_lattice).
+is evaluated through the memory kernel of the bath: the kernel (the mode
+grid's Dirichlet kernel) and the kicks are in closed form, and only the
+drive and the field are chirp-z transforms (numpy FFTs). The memory sum
+is a causal convolution, done block by block by uniformly partitioned
+overlap-save, and every sub-block of 8 steps is one small linear map,
+built for the whole block at once (see _run_lattice).
 """
 
 from __future__ import annotations
@@ -274,17 +270,12 @@ def impedance_matched_pulse(
     return MatchedPulse(omega=omega, stored_amplitude=cm)
 
 
-def _coupling(
-    params: StorageParams, nu: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """q = g/|g| and |g| for the coupling g of the symmetric branch
-    combination of the modes nu to the bright excited state."""
-    # per-emitter guided rate GAMMA_PL/2 makes the bright state decay at 1
-    g = np.full(nu.shape, 2.0 * math.sqrt(
-        0.5 * GAMMA_PL * params.dk / (4.0 * math.pi)
-    ))
-    g_norm = math.sqrt(g.dot(g))
-    return g / g_norm, g_norm
+def _coupling(params: StorageParams, nu: np.ndarray) -> float:
+    """|g| for the coupling g of the symmetric branch combination of the n
+    modes nu to the bright excited state. Every mode couples alike, so q =
+    g/|g| = 1/sqrt(n) and K is the grid's Dirichlet kernel (_memory_kernel)."""
+    # 2*sqrt(GAMMA_PL/2 * dk/(4 pi)) per mode: the bright state decays at 1
+    return math.sqrt(GAMMA_PL * params.dk * nu.size / (2.0 * math.pi))
 
 
 def _step_turn(
@@ -309,7 +300,7 @@ def _matched_control(
     envelope = gaussian_input(t_grid, params.sigma_t)
     pulse = impedance_matched_pulse(params.pulse_ratio, t_grid, envelope)
     om_mid = 0.5 * (pulse.omega[:-1] + pulse.omega[1:])
-    turn = _step_turn(float(t_grid[1] - t_grid[0]), _coupling(params, nu)[1],
+    turn = _step_turn(float(t_grid[1] - t_grid[0]), _coupling(params, nu),
                       params.gamma_prime, om_mid)
     if turn > _COUPLING_STEP_LIMIT:
         spike = int(np.argmax(np.abs(pulse.omega)))
@@ -354,6 +345,19 @@ def _chirp_sum(a: np.ndarray, theta: float, m: int) -> np.ndarray:
     lags[size - n + 1:] = chirp[n - 1:0:-1].conj()
     conv = np.fft.ifft(np.fft.fft(a * chirp[:n], size) * np.fft.fft(lags))
     return chirp[:m] * conv[:m]
+
+
+def _memory_kernel(nu: np.ndarray, dt: float, m: int) -> np.ndarray:
+    """K(p) = (1/n) sum_k exp(-i*nu_k*p*dt), p < m, on the n-mode grid nu_k =
+    nu_0 + k*dnu: the Dirichlet kernel exp(-i*nubar*p*dt) sin(nx)/(n sin x)
+    with nubar the grid's centre and x = dnu*dt*p/2 = pi*(j + f), |f| <= 1/2,
+    as (-1)^((n-1)*j) sinc(n*f)/sinc(f), accurate also at the recurrences."""
+    n, lag = nu.size, np.arange(m)
+    turns = float(nu[1] - nu[0]) * dt / (2.0 * math.pi) * lag
+    j = np.rint(turns)
+    return (np.exp(-0.5j * (nu[0] + nu[-1]) * dt * lag)
+            * (-1.0) ** ((n - 1) * j)
+            * np.sinc(n * (turns - j)) / np.sinc(turns - j))
 
 
 def _kicks(dt: float, a: float, gp: float, om: np.ndarray):
@@ -450,12 +454,13 @@ def _run_lattice(
         field = exp(-i*nu*N*dt) psi0
                 + q * sum_l exp(-i*nu*(N - l + 1/2)*dt) delta_l
 
-    On the uniform grid K, s and the field are chirp-z transforms. The
-    steps run in blocks of B = _BLOCK. The memory of earlier blocks is a
-    uniformly partitioned overlap-save convolution (Stockham, AFIPS SJCC
-    28, 229 (1966)): H_d is the 2B-point spectrum of the kernel segment
-    K((d-1)B .. (d+1)B - 1), all of them from one batched FFT, and X_s that
-    of block s's delta, zero-padded, taken once the block is done. Block b
+    Each q_k is 1/sqrt(n), so K is the grid's Dirichlet kernel in closed
+    form (_memory_kernel) and only s and the field are chirp-z transforms.
+    The steps run in blocks of B = _BLOCK. The memory of earlier blocks is
+    a uniformly partitioned overlap-save convolution (Stockham, AFIPS SJCC
+    28, 229 (1966)): H_d is the spectrum of the window K((d-1)B .. (d+1)B
+    - 1) of one kernel array, all from one batched FFT, and X_s that of
+    block s's delta, zero-padded, taken once the block is done. Block b
     adds entries B .. 2B-1 of IFFT(sum_{s<b} X_s H_{b-s}) to its c_j before
     its steps run, at O(2B log 2B + b*2B) per block. Inside a block the
     steps run in sub-blocks of S = _SUB, the last one padded with identity
@@ -481,7 +486,8 @@ def _run_lattice(
         )
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite at every sample")
-    q, g_norm = _coupling(params, nu)
+    g_norm = _coupling(params, nu)
+    q = 1.0 / math.sqrt(nu.size)
     gp = params.gamma_prime
 
     dt = float(t_grid[1] - t_grid[0])
@@ -497,31 +503,26 @@ def _run_lattice(
 
     # nu_k = nu_0 + k*dnu, as np.arange builds it
     theta = float(nu[1] - nu[0]) * dt
-    origin = np.exp(-1j * dt * nu[0] * np.arange(n_steps + 1))
+    origin = np.exp(-1j * dt * nu[0] * np.arange(n_steps))
     half = np.exp(-0.5j * dt * nu)
     psi0 = math.sqrt(2.0) * f_in
-    kernel = origin * _chirp_sum(q * q, theta, n_steps + 1)
-    coef = origin[:-1] * _chirp_sum(q * half * psi0, theta, n_steps)
+    coef = q * origin * _chirp_sum(half * psi0, theta, n_steps)
 
     block = min(_BLOCK, n_steps)
     sub = min(_SUB, block)
     n_blocks = -(-n_steps // block)
-    # segments_f[d - 1] is the spectrum of K((d - 1)*block ... (d + 1)*block
-    # - 1), zero past the end of the kernel, for d = 1 .. n_blocks - 1
-    parts = np.zeros((n_blocks, block), dtype=complex)
-    n_lags = min(parts.size, kernel.size)
-    parts.flat[:n_lags] = kernel[:n_lags]
-    segments_f = np.fft.fft(np.hstack((parts[:-1], parts[1:])), axis=1)
+    # K at every lag the walk reads, where past the run only padded steps
+    # and dropped sums read it; segments_f[d - 1] is the spectrum of
+    # K((d - 1)*block ... (d + 1)*block - 1) for d = 1 .. n_blocks - 1
+    kernel = _memory_kernel(nu, dt, (n_blocks + 1) * block)
+    segments_f = np.fft.fft(np.lib.stride_tricks.sliding_window_view(
+        kernel, 2 * block)[:(n_blocks - 1) * block:block], axis=1)
     # spectra[s] = FFT of block s's delta, zero-padded to 2*block
     spectra = np.empty_like(segments_f)
-    # near[p] = K(p), zero past the kernel, which only padded steps reach
-    near = np.zeros(block + sub, dtype=complex)
-    near[:min(near.size, kernel.size)] = kernel[:near.size]
     # recent[block - s0 + l] = K(s0 - l .. s0 - l + sub - 1), the weights of
     # step l of a block in the sub-block that starts at its step s0
-    recent = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(near, sub)[block:0:-1]
-    )
+    recent = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        kernel, sub)[block:0:-1])
     delta = np.empty(n_steps, dtype=complex)
     # [bright excited, symmetric metastable]
     em = np.array([0j, metastable0])
@@ -539,7 +540,7 @@ def _run_lattice(
         kicks = np.zeros((5, n_sub * sub), dtype=complex)
         kicks[3] = 1.0
         kicks[:, :j1 - j0] = _kicks(dt, g_norm, gp, om_mid[j0:j1])
-        maps = _sub_block_maps(kicks.reshape(5, n_sub, sub), near[:sub])
+        maps = _sub_block_maps(kicks.reshape(5, n_sub, sub), kernel[:sub])
         coefs = np.zeros((n_sub, sub), dtype=complex)
         coefs.flat[:j1 - j0] = coef[j0:j1]
         # work[s0 .. s0 + sub + 1] holds (e, m, c_0 .. c_{sub-1}) of the
@@ -558,13 +559,12 @@ def _run_lattice(
         if j1 < n_steps:
             spectra[blk] = np.fft.fft(delta[j0:j1], 2 * block)
     e, m = em.tolist()
-    # free the spectra before the field's chirp-z sum raises the peak
-    del parts, segments_f, spectra
+    # free the kernel and spectra before the field's chirp-z sum
+    del kernel, segments_f, spectra
 
     # kick l lands before the phases exp(-i*nu*(N - l + 1/2)*dt)
     field = np.exp(-1j * n_steps * dt * nu) * psi0 + q * half * _chirp_sum(
-        delta[::-1] * origin[:-1], theta, nu.size
-    )
+        delta[::-1] * origin, theta, nu.size)
     norm0 = float(np.sum(np.abs(psi0) ** 2)) + abs(metastable0) ** 2
     output_norm = float(np.sum(np.abs(field) ** 2))
     norm1 = output_norm + abs(e) ** 2 + abs(m) ** 2

@@ -25,7 +25,11 @@ from dotwire.model import (
     solve_two_dot,
     superradiant_rate,
 )
-from dotwire.spectra import peak_position_curve, sweep_detuning
+from dotwire.spectra import (
+    peak_position_curve,
+    reflection_minimum,
+    sweep_detuning,
+)
 from gates import worst
 
 
@@ -283,9 +287,9 @@ def test_amplitudes_continuous_near_singularity():
 
 def test_grid_functions_skip_the_relation_residual(monkeypatch):
     # the residual is the public solve's check; the detuning sweep, the
-    # concurrence map and the peak search solve every point through the
-    # same kernel without it, and form the pair record once per parameter
-    # set: per kd row of the map, per sweep and per peak search
+    # concurrence map, the peak search and the minimum solve every point
+    # through the same kernel without it, and form the pair record once per
+    # parameter set: per kd row of the map, per sweep and per search
     calls, pairs = [], []
     real, real_pair = model._relation_residual, model._pair
 
@@ -315,6 +319,9 @@ def test_grid_functions_skip_the_relation_residual(monkeypatch):
         _linspace(0.55 * math.pi, 1.45 * math.pi, 10), lossy)
     assert len(without) == len(with_sr) == 10
     assert len(pairs) == 20  # one per peak search, with and without SR
+    del pairs[:]
+    reflection_minimum(lossy)
+    assert pairs == [lossy]
     assert len(calls) == 1
 
 

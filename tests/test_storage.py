@@ -22,6 +22,7 @@ from dotwire.storage import (
     StorageParams,
     _chirp_sum,
     _kicks,
+    _memory_kernel,
     _run_lattice,
     gaussian_input,
     impedance_matched_pulse,
@@ -521,6 +522,39 @@ class TestMemoryKernelEngine:
         theta = 0.37
         direct = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ a
         assert np.max(np.abs(_chirp_sum(a, theta, m) - direct)) < 1e-13
+
+    @pytest.mark.parametrize("half_width, dk", [(4.0, 2e-3), (2.0, 0.05)])
+    def test_mode_grid_is_arithmetic(self, half_width, dk):
+        # the closed-form memory kernel rests on nu_k = nu_0 + k*dnu
+        nu = uniform_mode_grid(half_width, dk).nu
+        k = np.arange(nu.size)
+        arithmetic = nu[0] + k * (nu[1] - nu[0])
+        assert np.max(np.abs(nu - arithmetic)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("case", ["default", "recurrence", "even count"])
+    def test_memory_kernel_matches_direct_mean(self, case):
+        half_width, dk = {"default": (4.0, 2e-3), "recurrence": (2.0, 0.05),
+                          "even count": (2.0, 0.03)}[case]
+        p = StorageParams(pulse_ratio=5.0, half_width=half_width, dk=dk)
+        t = storage_time_grid(p)
+        dt = float(t[1] - t[0])
+        if case == "default":
+            lags = [0, 1, 511, 512, t.size - 1, t.size]
+        elif case == "recurrence":
+            # a block longer than the run reads K up to block + sub - 1,
+            # past the grid's recurrence 2 pi/(dnu*dt)
+            recurrence = 2.0 * math.pi / (dk * dt)
+            lags = [math.floor(recurrence), math.ceil(recurrence)]
+        else:
+            # 134 modes, so the sign (-1)^((n-1)*j) flips past the half
+            # recurrence at lag 2327, which the run's kernel array reaches
+            lags = [2000, 2400, 3000]
+        nu = uniform_mode_grid(half_width, dk).nu
+        kernel = _memory_kernel(nu, dt, max(lags) + 1)
+        assert kernel[0] == 1.0
+        for lag in lags:
+            direct = np.mean(np.exp(-1j * nu * lag * dt))
+            assert abs(kernel[lag] - direct) < 1e-13, lag
 
 
 class TestPopulationIdentity:
