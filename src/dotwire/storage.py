@@ -34,8 +34,10 @@ mode phases and the emitter-control kick (McLachlan & Quispel, Acta
 Numerica 11, 341 (2002)), one step per interval of the control grid.
 The emitters see the modes only through one scalar per step, so the run
 is evaluated through the memory kernel of the bath: the kernel (the mode
-grid's Dirichlet kernel) and the kicks are in closed form, and only the
-drive and the field are chirp-z transforms (numpy FFTs). The memory sum
+grid's Dirichlet kernel) and the kicks are in closed form. A storage run
+makes two chirp-z transforms, the drive and the field, and a retrieval,
+which has no input and so no drive, makes one; each is a numpy FFT
+convolution padded to a 2^a * 3^b * 5^c length. The memory sum
 is a causal convolution, done block by block by uniformly partitioned
 overlap-save, and every sub-block of 8 steps is one small linear map,
 built for the whole block at once (see _run_lattice).
@@ -128,6 +130,16 @@ class StorageParams:
             )
         if self.sigma_t <= 0 or self.dk <= 0 or self.half_width <= 0:
             raise ValueError("sigma_t, half_width, dk must all be > 0")
+        # the length np.arange gives the grid of uniform_mode_grid
+        modes = math.ceil(
+            (self.half_width + 0.5 * self.dk + self.half_width) / self.dk
+        )
+        if modes < 2:
+            raise ValueError(
+                f"half_width = {self.half_width:g} and dk = {self.dk:g} give "
+                f"a uniform mode grid of {modes} mode; the storage run needs "
+                f"at least two, so widen half_width or refine dk"
+            )
         # a run shorter than one control step has a one-point time grid
         step = _CONTROL_DT / self.half_width
         if _SPAN_SIGMAS * self.sigma_t < step:
@@ -329,22 +341,42 @@ def _input_modes(params: StorageParams, nu: np.ndarray) -> np.ndarray:
     return math.sqrt(params.dk) * eh / math.sqrt(math.pi) / 2.0
 
 
+def _fast_length(n: int) -> int:
+    """The least 2^a * 3^b * 5^c >= n, a length numpy's mixed-radix FFT
+    does in radix-2, 3 and 5 passes only (Frigo & Johnson, Proc. IEEE 93,
+    216 (2005))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or more
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_sum(a: np.ndarray, theta: float, m: int) -> np.ndarray:
     """sum_k a[k] * exp(-i*theta*k*j) for j = 0..m-1.
 
     One Bluestein chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans.
     Audio Electroacoust. 17, 86 (1969)): k*j = (k^2 + j^2 - (j - k)^2) / 2
-    turns the sum into a convolution, done with numpy FFTs.
+    turns the sum into a convolution of n + m - 1 terms, done with numpy
+    FFTs padded to the next 2^a * 3^b * 5^c length (_fast_length).
     """
     n = a.size
-    size = 1 << (n + m - 2).bit_length()
+    size = _fast_length(n + m - 1)
     chirp = np.exp(-0.5j * theta * np.arange(max(n, m)) ** 2)
     # conj(chirp) at lags 0..m-1, and at the negative lags 1-n..-1 wrapped
     lags = np.zeros(size, dtype=complex)
     lags[:m] = chirp[:m].conj()
     lags[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(a * chirp[:n], size) * np.fft.fft(lags))
-    return chirp[:m] * conv[:m]
+    spectrum = np.fft.fft(a * chirp[:n], size)
+    # in place: numpy reuses a temporary's buffer only from 256 KiB up,
+    # which 9 000 or 13 824 points do not reach
+    spectrum *= np.fft.fft(lags)
+    return chirp[:m] * np.fft.ifft(spectrum)[:m]
 
 
 def _memory_kernel(nu: np.ndarray, dt: float, m: int) -> np.ndarray:
@@ -455,7 +487,9 @@ def _run_lattice(
                 + q * sum_l exp(-i*nu*(N - l + 1/2)*dt) delta_l
 
     Each q_k is 1/sqrt(n), so K is the grid's Dirichlet kernel in closed
-    form (_memory_kernel) and only s and the field are chirp-z transforms.
+    form (_memory_kernel), and s and the field are chirp-z transforms
+    (_chirp_sum), padded to 2^a * 3^b * 5^c lengths. A run with no input,
+    such as a retrieval, has s = 0 and makes only the field's transform.
     The steps run in blocks of B = _BLOCK. The memory of earlier blocks is
     a uniformly partitioned overlap-save convolution (Stockham, AFIPS SJCC
     28, 229 (1966)): H_d is the spectrum of the window K((d-1)B .. (d+1)B
@@ -506,7 +540,12 @@ def _run_lattice(
     origin = np.exp(-1j * dt * nu[0] * np.arange(n_steps))
     half = np.exp(-0.5j * dt * nu)
     psi0 = math.sqrt(2.0) * f_in
-    coef = q * origin * _chirp_sum(half * psi0, theta, n_steps)
+    if f_in.any():
+        coef = q * origin * _chirp_sum(half * psi0, theta, n_steps)
+    else:
+        # no input, as in a retrieval: the drive is zero, which is what its
+        # transform would return
+        coef = np.zeros(n_steps, dtype=complex)
 
     block = min(_BLOCK, n_steps)
     sub = min(_SUB, block)

@@ -63,6 +63,17 @@ class TestStorageParams:
         with pytest.raises(ValueError, match="shorter than one control step"):
             StorageParams(pulse_ratio=5.0, sigma_t=1e-3)
 
+    def test_grid_of_one_mode_rejected(self):
+        # (0.4 + 1.0 + 0.4) / 2.0 rounds up to one mode, and the run reads
+        # the grid step nu[1] - nu[0]; at dk = 1.0 the grid holds two
+        p = StorageParams(pulse_ratio=5.0, half_width=0.4, dk=1.0,
+                          sigma_t=0.25)
+        assert uniform_mode_grid(p.half_width, p.dk).nu.size == 2
+        with pytest.raises(ValueError, match="half_width = 0.4 and dk = 2 "
+                                             "give a uniform mode grid of 1"):
+            StorageParams(pulse_ratio=5.0, half_width=0.4, dk=2.0,
+                          sigma_t=0.25)
+
     @pytest.mark.parametrize("name", ["sigma_t", "half_width", "dk"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_non_positive_scale_rejected(self, name, value):
@@ -326,7 +337,7 @@ class TestStorageEfficiency:
             simulate_storage(p, omega=omega)
 
     def test_run_memory_stays_bounded(self):
-        # a sigma_t = 20 run peaks at 2.38 MB of traced allocations; the
+        # a sigma_t = 20 run peaks at 2.15 MB of traced allocations; the
         # kicks of the whole run at once read 3.49 MB
         p = StorageParams(pulse_ratio=12.3, sigma_t=20.0)
         t = storage_time_grid(p)
@@ -515,13 +526,70 @@ class TestMemoryKernelEngine:
                                 [0.0, np.conj(o), 0.0]])
                 assert np.max(np.abs(kick - expm(-1j * dt * gen))) <= 1e-14
 
-    @pytest.mark.parametrize("n, m", [(7, 5), (5, 9), (1, 4), (33, 1)])
+    # n + m - 1 = 8, 9, 25 and 27 are 5-smooth already; 33 lies just above
+    # 32 and pads to 36
+    @pytest.mark.parametrize("n, m", [(7, 5), (5, 9), (1, 4), (33, 1),
+                                      (5, 4), (7, 3), (13, 13), (14, 14),
+                                      (17, 17)])
     def test_chirp_sum_matches_direct_sum(self, n, m):
         rng = np.random.default_rng(n * m)
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         theta = 0.37
         direct = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ a
         assert np.max(np.abs(_chirp_sum(a, theta, m) - direct)) < 1e-13
+
+    def test_chirp_sum_pads_to_a_fast_length(self, monkeypatch):
+        # n + m - 1 = 33 pads to 36, where the next power of two is 64
+        sizes = []
+        fft = np.fft.fft
+
+        def recorded(x, *args):
+            out = fft(x, *args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        _chirp_sum(np.ones(17, complex), 0.37, 17)
+        assert sizes == [36, 36]
+
+    def test_fast_length_is_the_least_5_smooth_length(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        least = 1 << 15
+        expected = {}
+        for k in range(least, 0, -1):
+            if smooth(k):
+                least = k
+            expected[k] = least
+        for n in range(1, 20_001):
+            assert storage._fast_length(n) == expected[n], n
+
+    def test_runs_make_one_transform_per_nonzero_sum(self, monkeypatch):
+        # a storage run transforms the drive and the field; a retrieval, or
+        # any run with no input, has no drive and transforms the field only
+        calls = []
+
+        def counted(a, theta, m):
+            calls.append(m)
+            return _chirp_sum(a, theta, m)
+
+        monkeypatch.setattr(storage, "_chirp_sum", counted)
+        p = StorageParams(pulse_ratio=5.0, half_width=2.0, dk=0.05)
+        t = storage_time_grid(p)
+        nu = uniform_mode_grid(p.half_width, p.dk).nu
+        simulate_storage(p)
+        assert calls == [t.size - 1, nu.size]
+        calls.clear()
+        retrieve(p, 0.9)
+        assert calls == [nu.size]
+        calls.clear()
+        _run_lattice(p, t, np.zeros(t.shape), nu, np.zeros(nu.size, complex),
+                     0.9)
+        assert calls == [nu.size]
 
     @pytest.mark.parametrize("half_width, dk", [(4.0, 2e-3), (2.0, 0.05)])
     def test_mode_grid_is_arithmetic(self, half_width, dk):
