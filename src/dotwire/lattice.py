@@ -18,17 +18,19 @@ Lattice layout (state vector of length 2*n + 2):
     [right-branch modes (n) | left-branch modes (n) | emitter 1 | emitter 2]
 
 The two branches carry the same energies nu (chirality is encoded in the
-coupling phases, not the dispersion): emitter 2 sits at distance d, so it
-absorbs from the right branch with phase e^{+i kd} and from the left branch
-with e^{-i kd}; its emission coefficients are the conjugates. The retarded
+coupling phases, not the dispersion). How each emitter meets each branch
+is one 2x2 matrix of branch weights W, rows the right and left branches,
+columns the emitters: emitter j absorbs mode m of branch b with
+kap_m * W[b, j] and emits into it with the conjugate. Emitter 2 sits at
+distance d, so W = [[1, e^{+i kd}], [1, e^{-i kd}]]. The retarded
 inter-emitter exchange appears as the explicit Hermitian term
 J = sin(kd)/2 plus a principal-value counterterm evaluated on the grid,
-which also corrects the finite window (so the window can stay narrow).
-H is never stored as a matrix: the series holds each mode amplitude
-divided by its coupling strength, so every mode of a branch receives the
-same emission and an application of H costs one multiply by the mode
-energies, one number added to each branch and one product of the modes
-with their squared couplings (_chebyshev).
+-s_pv * W^T conj(W), which also corrects the finite window (so the window
+can stay narrow). H is never stored as a matrix: the series holds each
+mode amplitude divided by its coupling strength, so every mode of a branch
+receives the same emission and an application of H costs one multiply by
+the mode energies, one number added to each branch and one product of the
+modes with their squared couplings (_chebyshev).
 
 The module also carries the collective-decay equivalence check: evolving the
 site-basis master equation of two emitters and comparing its no-jump part
@@ -133,18 +135,20 @@ class LatticeSystem:
     """Assembled lattice Hamiltonian in matrix-free form.
 
     eps are mode energies in the integration frame, the same on both
-    branches, and dot_block is the 2x2 emitter sub-Hamiltonian. Mode k
-    couples to the emitters with its strength kap_k =
-    grid.coupling_strengths()[k]: emitter 1 absorbs it with kap_k on both
-    branches, emitter 2 with kap_k * phase on the right branch and
-    kap_k * conj(phase) on the left, phase = e^{i kd}; the emission
-    coefficients are the conjugates. evolve applies H through the scaled
-    mode amplitudes psi_k / kap_k (see _chebyshev).
+    branches, and dot_block is the 2x2 emitter sub-Hamiltonian. Mode m
+    couples to the emitters with its strength kap_m =
+    grid.coupling_strengths()[m] times a branch weight: branch_weights is
+    the 2x2 W whose rows are the right and left branches and whose columns
+    are the emitters, so emitter j absorbs mode m of branch b with
+    kap_m * W[b, j] and emits into it with the conjugate
+    (build_hamiltonian: W = [[1, e^{i kd}], [1, e^{-i kd}]]). evolve
+    applies H through the scaled mode amplitudes psi_m / kap_m (see
+    _chebyshev).
     """
 
     grid: ModeGrid
     eps: np.ndarray
-    phase: complex
+    branch_weights: np.ndarray
     dot_block: np.ndarray
 
     @property
@@ -168,31 +172,24 @@ class LatticeSystem:
         start in magnitude, which is at most the spectral radius of H_h.
         NotConverged unless H is finite.
         """
-        kap = self.grid.coupling_strengths()
-        # C^H (lam - E)^{-1} C = sum_k M_k / (lam - eps_k), with M_k the 2x2
-        # [[m11, m12], [conj(m12), m22]] of mode k on both branches, held as
-        # the columns (m11, m22, m12): m11 = m22 = 2 kap^2 and, the two
-        # branches' phases cancelling, m12 = 2 kap^2 cos(kd)
-        m_diag = 2.0 * kap**2
-        weights = np.stack(
-            [m_diag, m_diag, 2.0 * kap * (kap * self.phase.real)], axis=1
-        )
+        # C^H (lam - E)^{-1} C = sum_m kap_m^2 / (lam - eps_m) * W^T conj(W):
+        # one scalar sum times a fixed 2x2 matrix
+        kap2 = self.grid.coupling_strengths() ** 2
+        gram = self.branch_weights.T @ self.branch_weights.conj()
         d_h = 0.5 * (self.dot_block + self.dot_block.conj().T)
         diag = np.concatenate([self.eps, np.diag(d_h).real])
         start_lo, start_hi = float(np.min(diag)), float(np.max(diag))
         pad = _EDGE_PAD * max(abs(start_lo), abs(start_hi))
-        hi = _secular_edge(self.eps, weights, d_h, start_hi, pad)
-        lo = -_secular_edge(-self.eps, weights, -d_h, -start_lo, pad)
+        hi = _secular_edge(self.eps, kap2, gram, d_h, start_hi, pad)
+        lo = -_secular_edge(-self.eps, kap2, gram, -d_h, -start_lo, pad)
         return lo, hi
 
     def to_dense(self) -> np.ndarray:
         """Materialize H (for structure and propagator tests)."""
-        n, n2 = self.grid.n_modes, 2 * self.grid.n_modes
-        kap = self.grid.coupling_strengths()
-        emission = np.empty((n2, 2), dtype=complex)
-        emission[:n, 0] = emission[n:, 0] = kap
-        emission[:n, 1] = kap * self.phase.conjugate()
-        emission[n:, 1] = kap * self.phase
+        n2 = 2 * self.grid.n_modes
+        # row (b, m), column j: kap_m * conj(W[b, j])
+        emission = np.kron(self.branch_weights.conj(),
+                           self.grid.coupling_strengths()[:, None])
         h = np.zeros((n2 + 2, n2 + 2), dtype=complex)
         h[np.arange(n2), np.arange(n2)] = np.concatenate([self.eps, self.eps])
         h[:n2, n2:] = emission
@@ -278,6 +275,7 @@ def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:
     kap = grid.coupling_strengths()
     delta = params.delta
     phase = complex(math.cos(params.kd), math.sin(params.kd))
+    w = np.array([[1.0, phase], [1.0, phase.conjugate()]])
 
     # principal-value sum at the carrier: corrects both the discreteness and
     # the finite window of the grid (skipping the near-degenerate mode, whose
@@ -285,23 +283,27 @@ def build_hamiltonian(grid: ModeGrid, params: ModelParams) -> LatticeSystem:
     mask = np.abs(grid.nu - delta) > 1e-9
     s_pv = float(np.sum(kap[mask] ** 2 / (delta - grid.nu[mask])))
 
-    e_dot = -delta - 0.5j * params.gamma_prime - 2.0 * s_pv
-    h12 = complex(0.5 * GAMMA_PL * math.sin(params.kd)
-                  - 2.0 * math.cos(params.kd) * s_pv)
+    e_dot = -delta - 0.5j * params.gamma_prime
+    h12 = 0.5 * GAMMA_PL * math.sin(params.kd)
     if params.include_superradiance:
         h12 += -0.5j * superradiant_rate(params.resonant_phase, params.gamma0)
-
+    # the counterterm -s_pv * W^T conj(W), averaged with its conjugate
+    # transpose: a fused multiply-add in the product can leave the
+    # diagonal an imaginary part of rounding, a gain or loss H does not have
+    gram = w.T @ w.conj()
+    counter = 0.5 * s_pv * (gram + gram.conj().T)
     return LatticeSystem(
         grid=grid,
         eps=grid.nu - delta,
-        phase=phase,
-        dot_block=np.array([[e_dot, h12], [h12, e_dot]], dtype=complex),
+        branch_weights=w,
+        dot_block=np.array([[e_dot, h12], [h12, e_dot]]) - counter,
     )
 
 
 def _secular_edge(
     eps: np.ndarray,
-    weights: np.ndarray,
+    kap2: np.ndarray,
+    gram: np.ndarray,
     d_h: np.ndarray,
     start: float,
     pad: float,
@@ -310,7 +312,8 @@ def _secular_edge(
 
     For lam > max(E), lam - H_h is positive definite exactly when the 2x2
     Schur complement S(lam) = lam - D_h - C^H (lam - E)^{-1} C is
-    (Haynsworth inertia); weights holds C^H (lam - E)^{-1} C as in
+    (Haynsworth inertia); C^H (lam - E)^{-1} C is the sum of
+    kap2 / (lam - eps) times gram = W^T conj(W), as in
     LatticeSystem.spectral_interval. S grows with lam (slope >= 1), so the
     test (a > 0 and a*d > |b|^2 for S = [[a, b], [conj(b), d]]) flips once,
     at the edge. Bisection brackets it from start, which must lie at or
@@ -321,18 +324,20 @@ def _secular_edge(
     NotConverged unless that bound is finite.
     """
     gershgorin = np.concatenate([eps, d_h.diagonal().real + abs(d_h[0, 1])])
-    hi = float(np.max(gershgorin) + np.sqrt(np.sum(weights[:, :2].real)))
+    c_frob2 = np.sum(kap2) * np.trace(gram).real  # ||C||_F^2
+    hi = float(np.max(gershgorin) + np.sqrt(c_frob2))
     if not math.isfinite(hi):
         raise NotConverged(f"spectral edge bound is {hi}; H is not finite")
+    (g11, g12), (_, g22) = gram.tolist()
     lo = start
     while True:
         lam = 0.5 * (lo + hi)
         if hi - lo <= pad or not lo < lam < hi:
             return hi + pad
-        s = (1.0 / (lam - eps)).dot(weights)
-        a = lam - d_h[0, 0].real - s[0].real
-        d = lam - d_h[1, 1].real - s[1].real
-        if a > 0.0 and a * d > abs(d_h[0, 1] + s[2]) ** 2:
+        s = float((1.0 / (lam - eps)).dot(kap2))
+        a = lam - d_h[0, 0].real - s * g11.real
+        d = lam - d_h[1, 1].real - s * g22.real
+        if a > 0.0 and a * d > abs(d_h[0, 1] + s * g12) ** 2:
             hi = lam
         else:
             lo = lam
@@ -371,8 +376,9 @@ def _chebyshev(
     coefficients. In u every mode of a branch receives the same emission,
     one number per branch, and absorption weighs the modes by kap^2, so
     applying H' is one multiply by the mode energies, two scalar adds on
-    the branch halves and one (2, n) product, with the 2x2 emitter block
-    on Python scalars. The sum is multiplied back by S once, at the end.
+    the branch halves and one (2, n) product, with the entries of W and of
+    the 2x2 emitter block as Python scalars. The sum is multiplied back by
+    S once, at the end.
     """
     n = system.grid.n_modes
     n2 = 2 * n
@@ -388,8 +394,10 @@ def _chebyshev(
     kap = system.grid.coupling_strengths()
     diag = scale * (np.concatenate([system.eps, system.eps]) - center + 0j)
     absorb = scale * kap**2 + 0j
-    phase = system.phase
-    back = phase.conjugate()
+    # W's rows, right and left branch, absorb; the conjugates emit
+    w = system.branch_weights
+    (r1, r2), (l1, l2) = w.tolist()
+    (e_r1, e_r2), (e_l1, e_l2) = (scale * w.conj()).tolist()
     (d11, d12), (d21, d22) = (
         scale * (system.dot_block - center * np.eye(2))
     ).tolist()
@@ -412,11 +420,11 @@ def _chebyshev(
         out, right, left, _, out_amps = rows[dst]
         a1, a2 = amps.tolist()
         np.multiply(diag, modes, out=out)
-        right += scale * (a1 + back * a2)
-        left += scale * (a1 + phase * a2)
+        right += e_r1 * a1 + e_r2 * a2
+        left += e_l1 * a1 + e_l2 * a2
         s_right, s_left = branches.dot(absorb).tolist()
-        out_amps[0] = s_right + s_left + d11 * a1 + d12 * a2
-        out_amps[1] = phase * s_right + back * s_left + d21 * a1 + d22 * a2
+        out_amps[0] = r1 * s_right + l1 * s_left + d11 * a1 + d12 * a2
+        out_amps[1] = r2 * s_right + l2 * s_left + d21 * a1 + d22 * a2
 
     ring[0] = psi
     ring[0, :n] /= kap

@@ -25,6 +25,7 @@ from dotwire import (
     phase_scan,
     project_state,
     reflection_minimum,
+    reflection_peak,
     relation_residual,
     scattering_oracle,
     simulate_storage,
@@ -136,6 +137,16 @@ def test_criterion_04_reflection_minimum_relation():
     _report(4, "reflection-minimum relation",
             f"max residual {worst_residual:.2e}, lossless R(delta_min) "
             f"<= {worst_lossless_r:.2e}, {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("kd_over_pi", [0.25, 0.6, 1.3])
+def test_lattice_reflection_zero_beside_criterion_04(kd_over_pi):
+    # the lossless tunnelling zero, located in closed form, is a zero of
+    # the time-domain lattice too
+    params = ModelParams(kd=kd_over_pi * PI)
+    delta_min, _, _ = reflection_minimum(params)
+    oracle = scattering_oracle(params.at_delta(delta_min))
+    assert abs(oracle.r) <= 1e-5
 
 
 def test_criterion_05_maximal_concurrence():
@@ -383,3 +394,22 @@ def test_criterion_10_figure_data_regeneration(tmp_path, capsys):
             f"asymmetry {asymmetry:.3f} at quarter turn, height ordering "
             f"{heights[0]:.3f} > {heights[1]:.3f} > {heights[2]:.3f}, "
             f"collective peak shift up to {max(gaps.values()):.3f}")
+
+
+@pytest.mark.parametrize("with_sr", [False, True], ids=["no-sr", "sr"])
+@pytest.mark.parametrize("kd_over_pi", [0.6, 0.75, 1.2, 1.4])
+def test_lattice_reflection_peak_beside_criterion_10(kd_over_pi, with_sr):
+    # the closed-form reflection peak, with and without the collective
+    # term, is a peak of the time-domain lattice: its R agrees at the peak
+    # and 0.05 either side, and the middle one is the highest
+    params = ModelParams(kd=kd_over_pi * PI, gamma0=0.05,
+                         include_superradiance=with_sr)
+    peak = reflection_peak(params)
+    lattice_R = []
+    for delta in (peak.delta_peak - 0.05, peak.delta_peak,
+                  peak.delta_peak + 0.05):
+        point = params.at_delta(delta)
+        R = abs(scattering_oracle(point).r) ** 2
+        assert abs(R - solve_two_dot(point).R) <= 5e-5, delta
+        lattice_R.append(R)
+    assert lattice_R[1] > max(lattice_R[0], lattice_R[2])

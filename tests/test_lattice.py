@@ -128,6 +128,41 @@ class TestBuildHamiltonian:
         expected[-2, -2] = expected[-1, -1] = -1j * 0.05
         assert np.allclose(anti, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(kd=0.8, delta=0.2),
+        ModelParams(kd=2.3, delta=-0.7, gamma_nr=0.05),
+        ModelParams(kd=0.8, delta=0.2, gamma0=0.01, gamma_nr=0.02, k0d=1.1,
+                    include_superradiance=True),
+    ], ids=["lossless", "lossy", "collective"])
+    def test_branch_weights_against_the_hand_expansion(self, params):
+        # every consumer reads the branch weights W; pin what they expand
+        # to, so a W that all of them read wrong alike cannot pass
+        grid = uniform_mode_grid(3.0, 0.1)
+        system = build_hamiltonian(grid, params)
+        kap = grid.coupling_strengths()
+        kd, delta = params.kd, params.delta
+        mask = np.abs(grid.nu - delta) > 1e-9
+        s_pv = float(np.sum(kap[mask] ** 2 / (delta - grid.nu[mask])))
+        exchange = math.sin(kd) / 2 - 0.5j * (
+            params.gamma0 * math.sin(params.k0d) / params.k0d
+            if params.include_superradiance else 0.0
+        )
+        e_dot = -delta - 0.5j * params.gamma_prime - 2.0 * s_pv
+        h12 = exchange - 2.0 * math.cos(kd) * s_pv
+        block = np.array([[e_dot, h12], [h12, e_dot]])
+        gap = float(np.max(np.abs(system.dot_block - block)))
+        assert gap <= 1e-15 * float(np.max(np.abs(block)))
+
+        # emission columns: kappa on both branches from emitter 1, kappa
+        # times e^{-ikd} on the right and e^{+ikd} on the left from emitter 2
+        n = grid.n_modes
+        emission = system.to_dense()[: 2 * n, 2 * n:]
+        expected = np.stack([
+            np.concatenate([kap, kap]),
+            np.concatenate([kap * np.exp(-1j * kd), kap * np.exp(1j * kd)]),
+        ], axis=1)
+        assert np.allclose(emission, expected, rtol=1e-15, atol=0.0)
+
 
 class TestSpectralInterval:
     @pytest.mark.parametrize(
@@ -293,7 +328,8 @@ class TestEvolve:
         grid = uniform_mode_grid(3.0, 0.1)
         honest = build_hamiltonian(grid, ModelParams(kd=PI / 2))
         gaining = LatticeSystem(
-            grid=honest.grid, eps=honest.eps, phase=honest.phase,
+            grid=honest.grid, eps=honest.eps,
+            branch_weights=honest.branch_weights,
             dot_block=honest.dot_block + 0.05j * np.eye(2),
         )
         psi = np.zeros(gaining.size, dtype=complex)
