@@ -32,6 +32,14 @@ receives the same emission and an application of H costs one multiply by
 the mode energies, one number added to each branch and one product of the
 modes with their squared couplings (_chebyshev).
 
+The mode grid (make_mode_grid) is a uniform core about the carrier inside
+one line patch about the emitter line. Modes dk apart recur at 2*pi/dk,
+so the core is spaced for the longest run the oracle may make, not for a
+mode count: it recurs at 2 409, after that run ends at the default packet
+(1 250). A finer core adds modes, and so cost to every application of H,
+without changing t or r; scattering_oracle refuses a grid whose packet
+band would recur before the run ends.
+
 The module also carries the collective-decay equivalence check: evolving the
 site-basis master equation of two emitters and comparing its no-jump part
 against pure non-Hermitian evolution with rates gamma0 * (1 +- sin(k0d)/(k0d)).
@@ -66,21 +74,23 @@ __all__ = [
     "no_jump_equivalence",
 ]
 
-_MIN_PACKET_MODES = 200
 # the packet-band modes must mirror about the carrier to within this
 _MIRROR_TOL = 1e-9
 # the packet starts _LAUNCH_SIGMAS * sigma_x before the emitters
 _LAUNCH_SIGMAS = 6.0
 # make_mode_grid: a core of spacing _DK_CORE at least _CORE_HALF either side
-# of the carrier (>= 203 modes within +-0.08 wherever it falls) inside one
-# line patch of spacing _DK_LINE over +-_LINE_HALF
+# of the carrier (96 steps, to 0.2504) inside one line patch of spacing
+# _DK_LINE over +-_LINE_HALF. The core recurs at 2*pi/_DK_CORE = 2 409,
+# after the longest run at sigma_k = 0.02 (11 sigma_x + 39 * 25 = 1 250)
 _CORE_HALF = 0.25
-_DK_CORE = 7.9e-4
+_DK_CORE = 0.2504 / 96
 _LINE_HALF = 2.5
 _DK_LINE = 1e-2
 _DOT_POP_STOP = 1e-10
 _DOT_POP_FAIL = 1e-6
+# the run's first chunk ends at 11 sigma_x, each later one _CHUNK after
 _MAX_CHUNKS = 40
+_CHUNK = 25.0
 # evolve cuts its Chebyshev series where the coefficients fall below this
 _SERIES_TOL = 1e-14
 # evolve adds the series terms to its sum this many at a time
@@ -231,14 +241,17 @@ class NoJumpReport:
 
 
 def make_mode_grid(center: float) -> ModeGrid:
-    """Nonuniform grid for scattering runs: a uniform fine core with a mode
-    exactly at the packet carrier `center`, reaching at least 0.25 either
+    """Nonuniform grid for scattering runs: a uniform core with a mode
+    exactly at the packet carrier `center`, 96 steps of 0.2504/96 either
     side of it, inside one uniform line patch of spacing 0.01 over +-2.5
     around the emitter line at nu = 0 (emission at the line that lands on
-    sparse modes quasi-recurs, stalling convergence). Line-patch modes that
-    would fall inside the core are left out, so the core stays uniform;
-    where |center| > 2.25 the core reaches past the patch. ValueError
-    unless center is finite."""
+    sparse modes quasi-recurs, stalling convergence). The core's spacing is
+    set by the time the oracle may run, not by a mode count: its modes
+    recur at 2*pi/spacing = 2 409, after the longest run at the default
+    packet (1 250; see scattering_oracle). The grid has 643 modes at
+    center = -0.5. Line-patch modes that would fall inside the core are
+    left out, so the core stays uniform; where |center| > 2.25 the core
+    reaches past the patch. ValueError unless center is finite."""
     if not math.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
     m = math.ceil(_CORE_HALF / _DK_CORE)
@@ -505,28 +518,26 @@ def scattering_oracle(
 ) -> OracleResult:
     """Scatter one wavepacket off the emitter pair and read out (t, r).
 
-    The packet must be resolved by at least 200 modes within +-4 sigma_k of
-    the carrier (GridTooCoarse otherwise). It is propagated in chunks, each
-    one Chebyshev series (see evolve), that end at 11 sigma_x, once the
-    packet has passed the emitters, and then every 25 time units, until
-    the emitter population has decayed below 1e-10, up to 40 chunks;
-    NotConverged if the population is still above 1e-6 there.
+    The packet is propagated in chunks, each one Chebyshev series (see
+    evolve), that end at 11 sigma_x, once the packet has passed the
+    emitters, and then every 25 time units, until the emitter population
+    has decayed below 1e-10, up to 40 chunks; NotConverged if the
+    population is still above 1e-6 there.
     t and r are read at the carrier mode c, where nu = params.delta exactly:
     once the packet has passed, mode c holds its input amplitude f_c times t
     on the right branch and times r on the left, with no phase, as its
     energy is 0. A caller's grid must have that mode, and its modes within
     +-4 sigma_k must mirror about it to within 1e-9, as the principal-value
-    counterterm needs (GridTooCoarse otherwise).
+    counterterm needs; the band is taken symmetrically about the carrier, so
+    rounding at its edges cannot drop one mode of a mirrored pair. The
+    packet band must also stay resolved for the whole run: modes dk apart
+    recur at t = 2*pi/dk, and the widest gap reaching into +-4 sigma_k
+    must recur no earlier than the longest run, 11 sigma_x + 39 * 25
+    (GridTooCoarse otherwise; the mirror test comes first). make_mode_grid
+    passes both tests for 0.00384 <= sigma_k < 0.0626.
     """
     if grid is None:
         grid = make_mode_grid(params.delta)
-    in_band = np.abs(grid.nu - params.delta) <= 4.0 * packet.sigma_k
-    n_band = int(np.count_nonzero(in_band))
-    if n_band < _MIN_PACKET_MODES:
-        raise GridTooCoarse(
-            f"only {n_band} modes resolve the packet band (need "
-            f">= {_MIN_PACKET_MODES}); refine the grid or widen the packet"
-        )
     system = build_hamiltonian(grid, params)
     carrier = np.flatnonzero(system.eps == 0.0)
     if carrier.size == 0:
@@ -535,18 +546,48 @@ def scattering_oracle(
             f"amplitudes are read there (make_mode_grid puts one on it)"
         )
     c = int(carrier[0])
+    # the packet band, m modes either side of the carrier, m the larger
+    # count within 4 sigma_k: a band cut off by the grid's end pairs the
+    # carrier with a mode off it, so it fails the mirror test too
+    half = 4.0 * packet.sigma_k
+    offsets = np.sort(system.eps)
+    mid = int(np.searchsorted(offsets, 0.0))
+    m = max(mid - int(np.searchsorted(offsets, -half)),
+            int(np.searchsorted(offsets, half, side="right")) - mid - 1)
+    band = offsets[max(mid - m, 0) : mid + m + 1]
+    core_half = math.ceil(_CORE_HALF / _DK_CORE) * _DK_CORE
     # the principal-value counterterm of build_hamiltonian is exact only
     # when the modes near the carrier cancel pairwise
-    offsets = np.sort(system.eps[in_band])
-    asymmetry = float(np.max(np.abs(offsets + offsets[::-1])))
+    asymmetry = float(np.max(np.abs(band + band[::-1])))
     if asymmetry > _MIRROR_TOL:
         raise GridTooCoarse(
-            f"the packet band, 4*sigma_k = {4.0 * packet.sigma_k:.4g} either "
+            f"the packet band, 4*sigma_k = {half:.4g} either "
             f"side of the carrier, is not mirror-symmetric (worst mismatch "
             f"{asymmetry:.3e}, limit {_MIRROR_TOL}); make_mode_grid mirrors "
-            f"only its uniform core, half-width "
-            f"{math.ceil(_CORE_HALF / _DK_CORE) * _DK_CORE:.4g}: narrow the "
+            f"only its uniform core, half-width {core_half:.4g}: narrow the "
             f"packet (smaller sigma_k)"
+        )
+    # the widest gap that reaches into the band, to the modes just outside
+    # it; a carrier alone (a one-mode grid) resolves nothing
+    t_pass = (_LAUNCH_SIGMAS + 5.0) * packet.sigma_x
+    t_max = t_pass + (_MAX_CHUNKS - 1) * _CHUNK
+    reach = offsets[max(mid - m - 1, 0) : mid + m + 2]
+    spacing = max(np.diff(reach).tolist(), default=math.inf)
+    if spacing * t_max > 2.0 * math.pi:
+        # a band that reaches the core's edge takes in the line patch's
+        # wider gaps, and a narrower packet keeps inside the core
+        hint = (
+            f"make_mode_grid spaces its modes that closely only in its "
+            f"uniform core, half-width {core_half:.4g}: narrow the packet "
+            f"(smaller sigma_k)" if half + _MIRROR_TOL >= core_half else
+            "widen the packet (larger sigma_k, a shorter run) or refine "
+            "the grid"
+        )
+        raise GridTooCoarse(
+            f"the packet band, 4*sigma_k = {half:.4g} either side of the "
+            f"carrier, is unresolved: its modes {spacing:.3g} apart recur at "
+            f"t = {2.0 * math.pi / spacing:.4g}, before the longest run "
+            f"ends (t = {t_max:.4g}); {hint}"
         )
 
     f = _make_packet(system, packet)
@@ -554,11 +595,10 @@ def scattering_oracle(
     psi = np.zeros(system.size, dtype=complex)
     psi[:n] = f
 
-    t_pass = (_LAUNCH_SIGMAS + 5.0) * packet.sigma_x
     started = time.perf_counter()
     n_steps = 0
     t_final = 0.0
-    for chunk in [t_pass] + [25.0] * (_MAX_CHUNKS - 1):
+    for chunk in [t_pass] + [_CHUNK] * (_MAX_CHUNKS - 1):
         psi, applied = _chebyshev(system, psi, chunk)
         n_steps += applied
         t_final += chunk

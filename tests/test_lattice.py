@@ -49,11 +49,15 @@ class TestModeGrids:
         assert far.nu[-1] == pytest.approx(3.25, abs=8e-4)
 
     def test_core_patch_resolves_the_packet_band(self):
-        # wherever the carrier falls against the line patch
+        # wherever the carrier falls against the line patch, the modes
+        # within 4 sigma_k of it (and the gaps reaching into that band)
+        # recur no earlier than the longest run at sigma_k = 0.02,
+        # 11 sigma_x + 39 * 25 = 1 250
         for center in (-0.5, 0.1807, 1.2, 1.4399):
             grid = make_mode_grid(center)
-            band = np.abs(grid.nu - center) <= 4 * 0.02
-            assert int(np.count_nonzero(band)) >= 200
+            (inside,) = np.nonzero(np.abs(grid.nu - center) <= 4 * 0.02)
+            reach = grid.nu[inside[0] - 1 : inside[-1] + 2]
+            assert 2 * PI / float(np.max(np.diff(reach))) >= 1250.0, center
 
     @pytest.mark.parametrize("center", [-0.5, 0.1807, 1.2, 1.4399])
     def test_core_is_uniform_about_a_mode_on_the_carrier(self, center):
@@ -253,6 +257,13 @@ def _seeded_grid():
     return ModeGrid(nu=nu, weights=np.gradient(nu))
 
 
+def _grid_with_core_spacing(monkeypatch, center, dk):
+    # make_mode_grid's layout around another core spacing
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_DK_CORE", dk)
+        return make_mode_grid(center)
+
+
 class TestEvolve:
     def system(self, grid=None):
         return build_hamiltonian(
@@ -413,6 +424,49 @@ class TestScatteringOracle:
             scattering_oracle(
                 ModelParams(kd=PI / 4), WavepacketSpec(sigma_k=0.001)
             )
+
+    def test_grid_whose_core_recurs_within_the_run_raises(self,
+                                                          monkeypatch):
+        # a core of spacing 6.4e-3 recurs at 982, before the longest run of
+        # the default packet ends (1 250): at the late-settling point its
+        # emitters still held 8.8e-4 at t = 1 250 without this check
+        grid = _grid_with_core_spacing(monkeypatch, 0.01, 6.4e-3)
+        with pytest.raises(GridTooCoarse, match="unresolved: its modes "
+                                                "0.0064 apart recur at"):
+            scattering_oracle(ModelParams(kd=2 * PI - 0.15, delta=0.01),
+                              grid=grid)
+
+    @pytest.mark.parametrize("kd,delta,gamma_nr", [
+        (PI / 4, -0.5, 0.0),          # the quick point
+        (0.65 * PI, 1.2, 0.05),       # a lossy criterion-07 point
+        (2 * PI - 0.15, 0.01, 0.0),   # the late-settling point
+    ])
+    def test_coarse_core_gives_the_fine_core_answers(self, monkeypatch, kd,
+                                                     delta, gamma_nr):
+        # the core spacing is set by the run's recurrence time: a core 3.3
+        # times finer takes the same series and moves t and r by far less
+        # than the band bias of about 1e-5
+        params = ModelParams(kd=kd, delta=delta, gamma_nr=gamma_nr)
+        fine = scattering_oracle(
+            params, grid=_grid_with_core_spacing(monkeypatch, delta, 7.9e-4)
+        )
+        coarse = scattering_oracle(params)
+        assert coarse.n_modes < fine.n_modes
+        assert coarse.n_steps == fine.n_steps
+        assert abs(coarse.t - fine.t) <= 1e-7
+        assert abs(coarse.r - fine.r) <= 1e-7
+
+    def test_band_edge_on_a_mirrored_pair_passes_the_mirror_check(self):
+        # 4 sigma_k is 29 core spacings: the band edge falls on the two
+        # modes 29 steps either side of the carrier, and rounding put only
+        # one of them within |nu - delta| <= 4 sigma_k, so a band selected
+        # by that test alone was refused as not mirror-symmetric
+        params = ModelParams(kd=PI / 4, delta=-0.5)
+        packet = WavepacketSpec(sigma_k=29 * lattice._DK_CORE / 4)
+        result = scattering_oracle(params, packet)
+        exact = solve_two_dot(params)
+        assert abs(result.t - exact.t) <= 1e-4
+        assert abs(result.r - exact.r) <= 1e-4
 
     def test_grid_without_a_carrier_mode_raises(self):
         # the packet band is resolved, but no mode sits on the carrier,
